@@ -1,10 +1,10 @@
 """Exact Bernstein-form positivity certificates for bivariate polynomials.
 
-Everything in this module is computed over :class:`fractions.Fraction`;
-there is no floating point anywhere.  The central objects are
+There is no floating point anywhere in this module.  The central objects are
 
 * :class:`BiPoly` - a bivariate polynomial in the power basis,
 * :class:`BernsteinPatch` - its Bernstein coefficients over a rectangle,
+  held as an integer matrix over one common denominator,
 * :class:`PositivityCertificate` - a branch-and-bound tree whose leaves
   prove ``f > 0`` (strict positivity via coefficient positivity), or
   ``f >= margin * (p^2 + x^2)`` near a declared zero corner (the corner
@@ -12,16 +12,22 @@ there is no floating point anywhere.  The central objects are
 
 The enclosure property that drives everything: the value of ``f`` on a
 rectangle lies between the smallest and largest Bernstein coefficient of
-``f`` over that rectangle.  Subdivision is exact midpoint de Casteljau,
-so certificates can be re-validated independently by re-converting each
-node from the power basis, which is what :func:`check_certificate` does.
+``f`` over that rectangle.  The kernel runs on integers: conversion clears
+every denominator once and applies integer matrices per axis, and midpoint
+de Casteljau subdivision is integer add and shift, the denominator gaining
+a power of two.  Fractions appear only at the edge: :func:`enclosure`, the
+``bcoeffs`` view, certificate node fields and JSON.  Certificates can be
+re-validated independently by re-converting each node from the power
+basis, which is what :func:`check_certificate` does.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rationals import as_fraction, format_rational, parse_rational
@@ -116,6 +122,13 @@ class BiPoly:
             for j, c in enumerate(row):
                 if c != 0:
                     yield i, j, c
+
+    @cached_property
+    def _integers(self) -> tuple[tuple, int]:
+        """The coefficients as an integer matrix over their lcm denominator."""
+        d = lcm(*(c.denominator for row in self.coeffs for c in row))
+        return tuple(tuple(c.numerator * (d // c.denominator) for c in row)
+                     for row in self.coeffs), d
 
     def trim(self) -> "BiPoly":
         """Drop zero high-order rows/columns (the zero polynomial stays 1x1)."""
@@ -318,43 +331,54 @@ class Box:
 UNIT_BOX = Box(0, 1, 0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BernsteinPatch:
-    """Bernstein coefficients of a polynomial over a box."""
+    """Bernstein coefficients of a polynomial over a box: coefficient
+    (i, j) is ``ints[i][j] / den``, with one positive common denominator."""
 
     box: Box
-    bcoeffs: tuple
+    ints: tuple
+    den: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "bcoeffs", _freeze(self.bcoeffs))
+    @property
+    def bcoeffs(self) -> tuple:
+        """The coefficients as Fractions (a read-only view)."""
+        return tuple(tuple(Fraction(c, self.den) for c in row) for row in self.ints)
 
     @property
     def degree(self) -> tuple[int, int]:
-        return len(self.bcoeffs) - 1, len(self.bcoeffs[0]) - 1
+        return len(self.ints) - 1, len(self.ints[0]) - 1
 
 
-def _substitute_affine(rows: Sequence[Sequence[Fraction]], a: Fraction,
-                       s: Fraction, axis: int) -> list:
-    """Exact substitution var = a + s*u along the given axis (0 = p, 1 = x)."""
-    if axis == 1:
-        rows = list(zip(*rows))
-    m = len(rows) - 1
-    width = len(rows[0])
-    out = [[Fraction(0)] * width for _ in range(m + 1)]
-    for k in range(m + 1):
-        sk = s ** k
-        for i in range(k, m + 1):
-            cc = comb(i, k) * (a ** (i - k)) * sk
-            if cc == 0:
-                continue
-            row = rows[i]
-            orow = out[k]
-            for j in range(width):
-                if row[j] != 0:
-                    orow[j] += cc * row[j]
-    if axis == 1:
-        out = [list(r) for r in zip(*out)]
-    return out
+def _transform(rows: Sequence[Sequence[int]], mp, mx) -> list:
+    """The integer matrix product mp * rows * mx^T (one map per axis)."""
+    y = [[sum(map(mul, r, c)) for c in mx] for r in rows]
+    return [[sum(map(mul, r, c)) for c in zip(*y)] for r in mp]
+
+
+def _shift(m: int, a: Fraction, s: Fraction) -> tuple[list, int]:
+    """Integer matrix M and scale q^m such that M/q^m maps the coefficients
+    of a degree-m polynomial in t to those in u, where t = a + s u and q is
+    the common denominator of a and s: column i is (qa + qs u)^i q^(m-i),
+    so each step's division by q is exact."""
+    q = lcm(a.denominator, s.denominator)
+    an, sn = a.numerator * (q // a.denominator), s.numerator * (q // s.denominator)
+    col = [q ** m]
+    cols = [col + [0] * m]
+    for i in range(1, m + 1):
+        col = [(an * c + sn * b) // q for c, b in zip(col + [0], [0] + col)]
+        cols.append(col + [0] * (m - i))
+    return list(zip(*cols)), q ** m
+
+
+@lru_cache(maxsize=64)
+def _bernstein_weights(m: int) -> tuple[tuple, int]:
+    """Integer matrix W and scale L with W/L mapping power coefficients on
+    [0, 1] to Bernstein coefficients: W[j][k] = C(j,k) L/C(m,k), where
+    L = lcm of the C(m,k)."""
+    big = lcm(*(comb(m, k) for k in range(m + 1)))
+    return tuple(tuple(comb(j, k) * (big // comb(m, k)) for k in range(m + 1))
+                 for j in range(m + 1)), big
 
 
 def to_bernstein(poly: BiPoly, box: Box,
@@ -364,6 +388,7 @@ def to_bernstein(poly: BiPoly, box: Box,
     The box is remapped to the unit square by p = p_lo + (p_hi - p_lo) u,
     x = x_lo + (x_hi - x_lo) v, and the power coefficients are converted
     with  b_ij = sum_{k<=i, l<=j} C(i,k) C(j,l) / (C(m,k) C(n,l)) a_kl.
+    Integer arithmetic throughout, with every denominator cleared once.
     ``degree`` may raise the representation degree above the polynomial's
     own bidegree (never lower it).
     """
@@ -374,58 +399,32 @@ def to_bernstein(poly: BiPoly, box: Box,
         m, n = degree
         if m < m0 or n < n0:
             raise ValueError(f"cannot represent bidegree ({m0},{n0}) at degree ({m},{n})")
-    rows = poly._padded(m, n)
-    rows = _substitute_affine(rows, box.p_lo, box.p_width, axis=0)
-    rows = _substitute_affine(rows, box.x_lo, box.x_width, axis=1)
-    t = [[sum(Fraction(comb(i, k), comb(m, k)) * rows[k][j] for k in range(i + 1))
-          for j in range(n + 1)] for i in range(m + 1)]
-    b = [[sum(Fraction(comb(j, l), comb(n, l)) * t[i][l] for l in range(j + 1))
-          for j in range(n + 1)] for i in range(m + 1)]
-    return BernsteinPatch(box, b)
+    ints, den = poly._integers
+    rows = [list(r) + [0] * (n - n0) for r in ints] + [[0] * (n + 1)] * (m - m0)
+    sp, dp = _shift(m, box.p_lo, box.p_width)
+    sx, dx = _shift(n, box.x_lo, box.x_width)
+    wp, lp = _bernstein_weights(m)
+    wx, lx = _bernstein_weights(n)
+    ints = _transform(_transform(rows, sp, sx), wp, wx)
+    return BernsteinPatch(box, ints, den * dp * dx * lp * lx)
 
 
 def enclosure(patch: BernsteinPatch) -> tuple[Fraction, Fraction]:
     """(min, max) Bernstein coefficient; encloses the range of f on the box."""
-    lo = min(min(row) for row in patch.bcoeffs)
-    hi = max(max(row) for row in patch.bcoeffs)
-    return lo, hi
+    lo = min(min(row) for row in patch.ints)
+    hi = max(max(row) for row in patch.ints)
+    return Fraction(lo, patch.den), Fraction(hi, patch.den)
 
 
-def _split_rows_half(rows: Sequence[Sequence[Fraction]]) -> tuple[list, list]:
-    """Midpoint de Casteljau along axis 0; exact (division by 2 only)."""
-    cols = list(zip(*rows))
-    left_cols, right_cols = [], []
-    for vec in cols:
-        cur = list(vec)
-        left = [cur[0]]
-        right = [cur[-1]]
-        while len(cur) > 1:
-            cur = [(cur[i] + cur[i + 1]) / 2 for i in range(len(cur) - 1)]
-            left.append(cur[0])
-            right.append(cur[-1])
-        right.reverse()
-        left_cols.append(left)
-        right_cols.append(right)
-    left = [list(r) for r in zip(*left_cols)]
-    right = [list(r) for r in zip(*right_cols)]
-    return left, right
-
-
-def _split_cols_half(rows: Sequence[Sequence[Fraction]]) -> tuple[list, list]:
-    """Midpoint de Casteljau along axis 1."""
-    lo, hi = [], []
-    for vec in rows:
-        cur = list(vec)
-        left = [cur[0]]
-        right = [cur[-1]]
-        while len(cur) > 1:
-            cur = [(cur[i] + cur[i + 1]) / 2 for i in range(len(cur) - 1)]
-            left.append(cur[0])
-            right.append(cur[-1])
-        right.reverse()
-        lo.append(left)
-        hi.append(right)
-    return lo, hi
+def _halve(vec: Sequence[int]) -> tuple[list, list]:
+    """Midpoint de Casteljau on integers, add and shift only: the two
+    halves of a degree-d coefficient vector, both scaled by 2^d."""
+    left, right = [], []
+    for k in range(len(vec) - 1, -1, -1):
+        left.append(vec[0] << k)
+        right.append(vec[-1] << k)
+        vec = [a + b for a, b in zip(vec, vec[1:])]
+    return left, right[::-1]
 
 
 def subdivide(patch: BernsteinPatch) -> tuple[BernsteinPatch, ...]:
@@ -433,14 +432,15 @@ def subdivide(patch: BernsteinPatch) -> tuple[BernsteinPatch, ...]:
 
     Child order matches :meth:`Box.quadrants`.  The children's Bernstein
     coefficients come from de Casteljau halving, which agrees exactly
-    with re-converting the polynomial on each child box.
+    with re-converting the polynomial on each child box.  The common
+    denominator gains 2^(m+n).
     """
-    lo_p, hi_p = _split_rows_half(patch.bcoeffs)
-    ll, lh = _split_cols_half(lo_p)
-    hl, hh = _split_cols_half(hi_p)
-    q = patch.box.quadrants()
-    return (BernsteinPatch(q[0], ll), BernsteinPatch(q[1], lh),
-            BernsteinPatch(q[2], hl), BernsteinPatch(q[3], hh))
+    m, n = patch.degree
+    p_halves = zip(*map(_halve, zip(*patch.ints)))
+    quads = [half for cols in p_halves for half in zip(*map(_halve, zip(*cols)))]
+    den = patch.den << (m + n)
+    return tuple(BernsteinPatch(box, ints, den)
+                 for box, ints in zip(patch.box.quadrants(), quads))
 
 
 # ======================================================================
@@ -501,12 +501,12 @@ def corner_split(poly: BiPoly, box: Box,
     cp, cx = as_fraction(corner[0]), as_fraction(corner[1])
     if (cp, cx) not in box.corners():
         return None
-    sp = 1 if cp == box.p_lo else -1
-    sx = 1 if cx == box.x_lo else -1
-    rows = [list(r) for r in poly.coeffs]
-    rows = _substitute_affine(rows, cp, Fraction(sp), axis=0)
-    rows = _substitute_affine(rows, cx, Fraction(sx), axis=1)
-    g = BiPoly(rows)
+    m, n = poly.bidegree
+    rows, den = poly._integers
+    mp, dp = _shift(m, cp, Fraction(1 if cp == box.p_lo else -1))
+    mx, dx = _shift(n, cx, Fraction(1 if cx == box.x_lo else -1))
+    g = BiPoly([[Fraction(c, den * dp * dx) for c in row]
+                for row in _transform(rows, mp, mx)])
     if g.coeff(0, 0) != 0 or g.coeff(1, 0) != 0 or g.coeff(0, 1) != 0:
         return None
     tail = [(i, j, c) for i, j, c in g.terms() if i + j >= 3]

@@ -47,15 +47,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _number(text: str):
-    """Rational 'num/den' or integer preferred; falls back to float."""
-    try:
-        return parse_rational(text)
-    except ValueError:
+def _number(text: str) -> Fraction:
+    """Rational 'num/den', integer or decimal, read exactly ('0.5' is 1/2).
+
+    Exponents are refused: '1e999999999' would build a huge integer.
+    """
+    if "e" not in text.lower():
         try:
-            return float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
 def _rational(text: str) -> Fraction:

@@ -17,6 +17,7 @@ so h increases while the polynomial part decreases.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -66,14 +67,14 @@ def solve_radius(gamma=0, tol: float = 1e-12) -> RadiusResult:
     """Solve g(r) = gamma by bisection with exact sign tests.
 
     The bracket starts at [0, 1 - 2^-20] and is halved until its width is
-    at most ``tol``; the sign of g(mid) - gamma is evaluated in exact
-    rational arithmetic at every step, so the final bracket provably
-    contains the root.  Requires gamma < 1 = g(0) and gamma above the
-    value at the upper bracket end.
+    at most ``tol``, which must be positive and finite; the sign of
+    g(mid) - gamma is evaluated in exact rational arithmetic at every
+    step, so the final bracket provably contains the root.  Requires
+    gamma < 1 = g(0) and gamma above the value at the upper bracket end.
     """
     gamma = as_fraction(gamma)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lo, hi = Fraction(0), UPPER_BRACKET
     if not radius_g(lo) > gamma:
         raise ValueError(f"gamma = {gamma} is not below g(0) = 1; no root in (0, 1)")

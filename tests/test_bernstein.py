@@ -2,8 +2,10 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcert.bernstein import (UNIT_BOX, BiPoly, Box, CertificateError,
                                 CornerRule, PositivityCertificate,
@@ -127,6 +129,77 @@ def test_subdivision_min_is_monotone():
         for child in subdivide(parent):
             clo, chi = enclosure(child)
             assert clo >= plo and chi <= phi
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def _ref_axis(vec, lo, width):
+    """Bernstein coefficients over [lo, lo + width] of sum vec[i] t^i, in
+    Fractions: substitute t = lo + width u, then weight by C(j,k)/C(m,k)."""
+    m = len(vec) - 1
+    shifted = [sum(comb(i, k) * lo ** (i - k) * width ** k * vec[i]
+                   for i in range(k, m + 1)) for k in range(m + 1)]
+    return [sum(F(comb(j, k), comb(m, k)) * shifted[k] for k in range(j + 1))
+            for j in range(m + 1)]
+
+
+def ref_bernstein(poly, box, degree=None):
+    """Fraction reference for to_bernstein: _ref_axis along x, then p."""
+    m, n = degree or poly.bidegree
+    rows = [[poly.coeff(i, j) for j in range(n + 1)] for i in range(m + 1)]
+    rows = [_ref_axis(r, box.x_lo, box.x_width) for r in rows]
+    cols = [_ref_axis(c, box.p_lo, box.p_width) for c in zip(*rows)]
+    return tuple(zip(*cols))
+
+
+def ref_bound_above(poly, box, depth):
+    k = 2 ** depth
+    return max(max(map(max, ref_bernstein(poly, Box(
+        box.p_lo + box.p_width * F(i, k), box.p_lo + box.p_width * F(i + 1, k),
+        box.x_lo + box.x_width * F(j, k), box.x_lo + box.x_width * F(j + 1, k)))))
+        for i in range(k) for j in range(k))
+
+
+rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+polys = st.integers(0, 4).flatmap(lambda m: st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1),
+                       min_size=m + 1, max_size=m + 1).map(BiPoly)))
+boxes = st.builds(
+    lambda plo, pw, xlo, xw: Box(plo, plo + pw, xlo, xlo + xw),
+    st.builds(F, st.integers(-20, 20), st.integers(1, 9)),
+    st.builds(F, st.integers(1, 9), st.integers(1, 9)),
+    st.builds(F, st.integers(-20, 20), st.integers(1, 9)),
+    st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, boxes, st.integers(0, 2), st.integers(0, 2))
+def test_integer_conversion_matches_fraction_reference(f, box, dm, dn):
+    m, n = f.bidegree
+    assert to_bernstein(f, box).bcoeffs == ref_bernstein(f, box)
+    raised = to_bernstein(f, box, degree=(m + dm, n + dn))
+    assert raised.bcoeffs == ref_bernstein(f, box, (m + dm, n + dn))
+    assert enclosure(raised) == (min(map(min, raised.bcoeffs)),
+                                 max(map(max, raised.bcoeffs)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys, boxes)
+def test_subdivision_matches_direct_conversion_to_depth_3(f, box):
+    patches = [to_bernstein(f, box)]
+    for _ in range(3):
+        patches = [child for patch in patches for child in subdivide(patch)]
+        for child in patches:
+            assert child.bcoeffs == to_bernstein(f, child.box).bcoeffs
+
+
+@settings(max_examples=20, deadline=None)
+@given(polys, boxes)
+def test_bound_above_matches_reference(f, box):
+    for depth in range(4):
+        assert bound_above(f, box, depth) == ref_bound_above(f, box, depth)
 
 
 def test_bound_above_tightens_with_depth():

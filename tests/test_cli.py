@@ -50,6 +50,19 @@ def test_radius_bad_gamma(capsys):
     assert code == 64 and "radius" in err
 
 
+def test_radius_decimal_gamma_is_exact(capsys):
+    code, out, err = run(capsys, "radius", "--gamma", "0.5")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "radius", "--gamma", "1/2")[1]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_radius_rejects_nonfinite_tol(capsys, tol):
+    code, out, err = run(capsys, "radius", f"--tol={tol}")
+    assert code == 64 and out == ""
+    assert "tol must be positive and finite" in err
+
+
 def test_janowski_verdicts(capsys):
     code, out, _ = run(capsys, "janowski", "--A", "1/2", "--B", "-1/4")
     assert code == 0 and "inside" in out
@@ -132,4 +145,7 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
         main(["bernstein", "--poly", "f.poly"])  # neither mode flag
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "--gamma", "1e999999999"])  # exponents are refused
     assert exc.value.code == 64

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,12 @@ def test_solve_radius_rejects_unreachable_levels():
         solve_radius(F(-10 ** 9))          # below g(UPPER_BRACKET)
     with pytest.raises(ValueError):
         solve_radius(0, tol=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_solve_radius_rejects_nonfinite_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        solve_radius(0, tol=tol)
 
 
 def test_bracket_endpoint_is_interior():
