@@ -5,51 +5,29 @@ target (1 + z/2)^2, sharp second and third Hankel determinant bounds
 (1/4 and 1/9) certified by exact-rational Bernstein branch-and-bound,
 the radius solver for the convexity functional, and numeric cross-check
 oracles for everything.
+
+The public names are those in the submodules' ``__all__``.  They are
+resolved on first use (PEP 562), so ``import starcert`` loads no submodule,
+and numpy is loaded only by the float oracles and scans that use it.
 """
 from __future__ import annotations
 
-from .bernstein import (BiPoly, Box, CertificateError, CornerRule,
-                        PositivityCertificate, UNIT_BOX, bound_above,
-                        certify_positive, check_certificate, corner_estimate,
-                        corner_split, enclosure, format_poly_text,
-                        parse_poly_text, subdivide, to_bernstein)
-from .gft import (CaratheodoryCoeffs, ClassCoeffs, JanowskiParams,
-                  SchwarzCoeffs, caratheodory_from_schwarz,
-                  caratheodory_to_coeffs, h2_envelope, h2_envelope_deriv,
-                  h2_normalized, h2_terms, h3_schwarz_poly, hankel2, hankel3,
-                  janowski_check, lz_parametrize, ma_minda_scan,
-                  schwarz_parametrize, schwarz_to_coeffs, y_max,
-                  y_max_detail)
-from .radius import (RadiusResult, h_prime_numerator, h_prime_positive,
-                     radius_g, solve_radius)
-from .rationals import as_fraction, format_rational, parse_rational
-from .reduction import (HANKEL3_SCALE, MAJORANT_TARGET, H3Reduction,
-                        build_h3_reduction)
-from .series import (DEFAULT_ORDER, TruncSeries, member_from_schwarz,
-                     phi_series, schwarz_monomial)
-from .verify import (A4Search, VerificationReport, a4_family, max_a4,
-                     verify_h2, verify_h3)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TruncSeries", "phi_series", "schwarz_monomial", "member_from_schwarz",
-    "DEFAULT_ORDER",
-    "SchwarzCoeffs", "CaratheodoryCoeffs", "ClassCoeffs",
-    "schwarz_to_coeffs", "caratheodory_from_schwarz",
-    "caratheodory_to_coeffs", "lz_parametrize", "schwarz_parametrize",
-    "hankel2", "hankel3", "h3_schwarz_poly",
-    "y_max", "y_max_detail",
-    "JanowskiParams", "janowski_check", "ma_minda_scan",
-    "h2_terms", "h2_normalized", "h2_envelope", "h2_envelope_deriv",
-    "BiPoly", "Box", "UNIT_BOX", "parse_poly_text", "format_poly_text",
-    "to_bernstein", "enclosure", "subdivide", "corner_split",
-    "corner_estimate", "CornerRule", "certify_positive", "bound_above",
-    "check_certificate", "PositivityCertificate", "CertificateError",
-    "H3Reduction", "build_h3_reduction", "MAJORANT_TARGET", "HANKEL3_SCALE",
-    "radius_g", "h_prime_numerator", "h_prime_positive", "solve_radius",
-    "RadiusResult",
-    "VerificationReport", "verify_h2", "verify_h3",
-    "A4Search", "max_a4", "a4_family",
-    "parse_rational", "format_rational", "as_fraction",
-]
+# each after the modules it imports, so resolving a name loads little else
+_MODULES = ("rationals", "series", "bernstein", "reduction", "radius", "gft", "verify")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        return [n for m in _MODULES
+                for n in import_module(f"{__name__}.{m}").__all__]
+    for m in _MODULES:
+        module = import_module(f"{__name__}.{m}")
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

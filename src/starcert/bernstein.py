@@ -1,6 +1,7 @@
 """Exact Bernstein-form positivity certificates for bivariate polynomials.
 
-There is no floating point anywhere in this module.  The central objects are
+The certified path has no floating point; only :meth:`BiPoly.evaluate`
+at float arguments (for the float oracles) rounds.  The central objects are
 
 * :class:`BiPoly` - a bivariate polynomial in the power basis,
 * :class:`BernsteinPatch` - its Bernstein coefficients over a rectangle,
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .rationals import as_fraction, format_rational, parse_rational
 
 __all__ = [
-    "BiPoly", "Box", "BernsteinPatch", "CornerRule", "CornerSplit",
+    "BiPoly", "Box", "UNIT_BOX", "BernsteinPatch", "CornerRule", "CornerSplit",
     "CertificateNode", "PositivityCertificate", "CertificateError",
     "to_bernstein", "enclosure", "subdivide",
     "corner_split", "corner_estimate",
@@ -207,15 +208,28 @@ class BiPoly:
             e >>= 1
         return out
 
+    @cached_property
+    def _floats(self) -> tuple:
+        return tuple(tuple(float(c) for c in row) for row in self.coeffs)
+
     def evaluate(self, p, x):
-        """Horner evaluation; exact for rational arguments."""
-        acc = None
-        for row in reversed(self.coeffs):
-            racc = None
-            for c in reversed(row):
-                racc = c if racc is None else racc * x + c
-            acc = racc if acc is None else acc * p + racc
-        return acc
+        """Horner evaluation: an exact Fraction if p and x are int or
+        Fraction, else Horner over the coefficients rounded to float."""
+        if not (isinstance(p, (int, Fraction)) and isinstance(x, (int, Fraction))):
+            rows = [reduce(lambda r, c: r * x + c, reversed(row)) for row in self._floats]
+            return reduce(lambda acc, r: acc * p + r, reversed(rows))
+        # homogenised integer Horner: sum a_ij pn^i pd^(m-i) xn^j xd^(n-j)
+        (pn, pd), (xn, xd) = p.as_integer_ratio(), x.as_integer_ratio()
+        ints, den = self._integers
+        m, n = self.bidegree
+        pw, xw = [pd ** k for k in range(m + 1)], [xd ** k for k in range(n + 1)]
+        acc = 0
+        for row, w in zip(reversed(ints), pw):
+            racc = 0
+            for c, v in zip(reversed(row), xw):
+                racc = racc * xn + c * v
+            acc = acc * pn + racc * w
+        return Fraction(acc, den * pw[m] * xw[n])
 
 
 # ======================================================================

@@ -6,7 +6,7 @@ Exit codes
 2   a certification or verdict failed (certificate incomplete, disk test
     negative)
 3   an oracle violation (a numeric scan contradicted a certified bound)
-64  usage errors (bad flags, unreadable input files)
+64  usage errors (bad flags, unreadable input files, unwritable output paths)
 """
 from __future__ import annotations
 
@@ -17,14 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bernstein import (UNIT_BOX, Box, CertificateError, CornerRule,
-                        bound_above, certify_positive, check_certificate,
-                        parse_poly_text)
-from .gft import JanowskiParams, janowski_check, ma_minda_scan
-from .radius import solve_radius
 from .rationals import format_rational, parse_rational
-from .series import TruncSeries, member_from_schwarz
-from .verify import max_a4, verify_h2, verify_h3
 
 __all__ = ["main"]
 
@@ -67,8 +60,12 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _write_json(path: str, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+def _write(path: str, text: str) -> None:
+    """Write an output file; main() reports a failure as a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
 
 
@@ -82,12 +79,13 @@ def _leaf_note(leaf) -> str:
     return f" min_coeff={format_rational(leaf.min_bcoeff)}"
 
 
-def _read_schwarz(spec: str, order: int) -> TruncSeries:
+def _read_schwarz(spec: str, order: int):
     """A Schwarz function from 'z', 'z^k', or a coefficient file.
 
     A file holds whitespace-separated exact rationals w1 w2 ... (the
     coefficients of z, z^2, ...); '#' starts a comment.
     """
+    from .series import TruncSeries
     path = Path(spec)
     if path.is_file():
         tokens = []
@@ -113,6 +111,7 @@ def _read_schwarz(spec: str, order: int) -> TruncSeries:
 # ---------------------------------------------------------------------------
 
 def _cmd_expand(args) -> int:
+    from .series import member_from_schwarz
     try:
         w = _read_schwarz(args.schwarz, args.order)
     except (ValueError, OSError) as exc:
@@ -126,20 +125,21 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify_h2(args) -> int:
+    from .verify import verify_h2
     report = verify_h2(grid=args.grid, seed=args.seed)
     print(report.render())
     if args.json:
-        _write_json(args.json, report.to_json_doc())
+        _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
     return 0 if report.verified else ORACLE_EXIT
 
 
 def _cmd_certify_h3(args) -> int:
+    from .verify import verify_h3
     report = verify_h3(max_depth=args.max_depth, grid=args.grid)
     cert = report.certificate
     if args.out and cert is not None:
-        Path(args.out).write_text(cert.to_json() + "\n")
+        _write(args.out, cert.to_json() + "\n")
         report.artifacts.append(args.out)
-        print(f"wrote {args.out}")
     print(report.render())
     if cert is not None:
         by_status: dict[str, int] = {}
@@ -148,7 +148,7 @@ def _cmd_certify_h3(args) -> int:
         print("  leaves by status: "
               + ", ".join(f"{k}={v}" for k, v in sorted(by_status.items())))
     if args.json:
-        _write_json(args.json, report.to_json_doc())
+        _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
     if report.verified:
         return 0
     return CERT_EXIT if report.details.get("failure") == "certification" \
@@ -156,6 +156,9 @@ def _cmd_certify_h3(args) -> int:
 
 
 def _cmd_bernstein(args) -> int:
+    from .bernstein import (UNIT_BOX, Box, CertificateError, CornerRule,
+                            bound_above, certify_positive, check_certificate,
+                            parse_poly_text)
     try:
         poly = parse_poly_text(Path(args.poly).read_text())
     except (ValueError, OSError) as exc:
@@ -181,12 +184,12 @@ def _cmd_bernstein(args) -> int:
     for leaf in cert.leaves():
         print(f"  {leaf.status:16s} box={leaf.box}{_leaf_note(leaf)}")
     if args.out:
-        Path(args.out).write_text(cert.to_json() + "\n")
-        print(f"wrote {args.out}")
+        _write(args.out, cert.to_json() + "\n")
     return 0 if cert.succeeded else CERT_EXIT
 
 
 def _cmd_radius(args) -> int:
+    from .radius import solve_radius
     try:
         res = solve_radius(args.gamma, args.tol)
     except ValueError as exc:
@@ -202,23 +205,25 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_max_a4(args) -> int:
+    from .verify import max_a4
     res = max_a4(grid=args.grid, refine=args.refine)
     print(f"max |a4|:      {res.value:.9f}  ({res.samples} samples)")
     print(f"witness:       c1={res.c1:.9f}  gamma={res.gamma:.6f}  "
           f"eta={res.eta:.6f}")
     print(f"family argmax: t={res.family_t:.9f}  value={res.family_value:.9f}")
     if args.json:
-        _write_json(args.json, {
+        _write(args.json, json.dumps({
             "max_a4": res.value, "c1": res.c1,
             "gamma": [res.gamma.real, res.gamma.imag],
             "eta": [res.eta.real, res.eta.imag],
             "family_t": res.family_t, "family_value": res.family_value,
             "samples": res.samples,
-        })
+        }, indent=2) + "\n")
     return 0
 
 
 def _cmd_janowski(args) -> int:
+    from .gft import JanowskiParams, janowski_check
     try:
         params = JanowskiParams(args.A, args.B)
     except ValueError as exc:
@@ -237,6 +242,7 @@ def _cmd_janowski(args) -> int:
 
 
 def _cmd_scan_phi(args) -> int:
+    from .gft import ma_minda_scan
     rep = ma_minda_scan(grid_density=args.grid)
     print(f"grid density:     {rep.grid_density} (radius cap {rep.radius_cap})")
     print(f"modulus range:    [{rep.min_modulus:.9f}, {rep.max_modulus:.9f}]"

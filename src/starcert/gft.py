@@ -16,7 +16,7 @@ pipelines:
 
 Exact inputs (ints/Fractions) stay exact through every polynomial map;
 floats/complex are accepted and then everything is float.  Only the scan
-helpers use numpy.
+helper imports numpy, when it runs.
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .rationals import as_fraction
 
@@ -409,6 +407,7 @@ def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
     if npts % 2:
         npts += 1  # keep t = pi on the grid
 
+    import numpy as np
     radii = np.linspace(0.0, radius_cap, grid_density)
     angles = np.linspace(0.0, 2 * math.pi, 4 * grid_density, endpoint=False)
     z = radii[:, None] * np.exp(1j * angles)[None, :]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+__all__ = ["parse_rational", "format_rational", "as_fraction"]
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"num/den"`` or ``"num"`` into a Fraction.

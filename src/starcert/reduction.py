@@ -87,11 +87,7 @@ class H3Reduction:
 
     def majorant(self, p, x, y):
         """H(p, x, y); exact for rational arguments."""
-        y2 = y * y
-        return (self.base.evaluate(p, x)
-                + self.ycoef.evaluate(p, x) * y
-                + self.y2coef.evaluate(p, x) * y2
-                + self.comp.evaluate(p, x) * (1 - y2))
+        return self._grouped(p, x, y, y)
 
     def majorant_capped(self, p, x, y):
         """H1(p, x, y): the y-linear group frozen at its maximum y = 1.
@@ -99,9 +95,13 @@ class H3Reduction:
         Affine in y^2, so over y in [0, 1] its maximum is attained at
         y = 1 (endpoint_y1) or y = 0 (endpoint_y0).
         """
+        return self._grouped(p, x, y, 1)
+
+    def _grouped(self, p, x, y, y_linear):
+        """The four-group sum, with ``y_linear`` as the factor on ycoef."""
         y2 = y * y
         return (self.base.evaluate(p, x)
-                + self.ycoef.evaluate(p, x)
+                + self.ycoef.evaluate(p, x) * y_linear
                 + self.y2coef.evaluate(p, x) * y2
                 + self.comp.evaluate(p, x) * (1 - y2))
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = ["TruncSeries", "phi_series", "member_from_schwarz", "schwarz_monomial"]
+__all__ = ["TruncSeries", "phi_series", "member_from_schwarz", "schwarz_monomial",
+           "DEFAULT_ORDER"]
 
 DEFAULT_ORDER = 8
 

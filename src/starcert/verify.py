@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .bernstein import (UNIT_BOX, CornerRule, PositivityCertificate,
                         bound_above, certify_positive, check_certificate)
 from .gft import (h2_envelope, h2_envelope_deriv, h2_normalized, h2_terms,
@@ -79,8 +77,9 @@ def _random_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
 # |H2(2)| <= 1/4
 # ---------------------------------------------------------------------------
 
-def _polar_grid(n_radii: int, n_angles: int) -> np.ndarray:
+def _polar_grid(n_radii: int, n_angles: int):
     """Flattened complex grid of the closed unit disk, r = 1 included."""
+    import numpy as np
     r = np.linspace(0.0, 1.0, n_radii)
     t = np.linspace(0.0, 2 * math.pi, n_angles, endpoint=False)
     return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
@@ -107,6 +106,7 @@ def verify_h2(grid: int = 32, seed: int = DEFAULT_SEED) -> VerificationReport:
     """
     if grid < 32:
         raise ValueError("grid must be >= 32")
+    import numpy as np
     rng = random.Random(seed)
     details: dict = {}
     failure = None
@@ -187,6 +187,7 @@ def _h3_param_abs(c1, gam, eta, rho):
     This duplicates the scalar formulas on purpose: the oracle must not
     depend on the code path it is checking.
     """
+    import numpy as np
     u = 1 - c1 * c1
     g2 = 1 - np.abs(gam) ** 2
     e2 = 1 - np.abs(eta) ** 2
@@ -226,6 +227,9 @@ def verify_h3(max_depth: int = 3, grid: int = 12,
     """
     if max_depth < 3:
         raise ValueError("max_depth must be >= 3 (the corner box appears at depth 3)")
+    if grid < 4:  # the smallest grid whose oracle reaches 10^4 samples
+        raise ValueError("grid must be >= 4")
+    import numpy as np
     red = build_h3_reduction()
     details: dict = {}
     failure = None
@@ -334,6 +338,7 @@ class A4Search:
 
 
 def _a4_abs(c1, gam, eta):
+    import numpy as np
     u = 1 - c1 * c1
     c2 = u * gam
     c3 = u * ((1 - np.abs(gam) ** 2) * eta - c1 * gam ** 2)
@@ -353,7 +358,7 @@ def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
         raise ValueError("grid must be >= 16")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-
+    import numpy as np
     c1s = np.linspace(0.0, 1.0, grid + 1)
     gam = _polar_grid(grid // 3 + 1, 2 * grid)
     eta = _polar_grid(3, 8)

@@ -1,5 +1,6 @@
 """Bernstein enclosure machinery: conversion, subdivision, certificates."""
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -370,3 +371,51 @@ def test_check_rejects_wrong_root_box():
     cert = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=3)
     with pytest.raises(CertificateError, match="root box"):
         check_certificate(POSITIVE_POLY, cert, Box(0, F(1, 2), 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# BiPoly.evaluate against a Fraction Horner reference
+# ---------------------------------------------------------------------------
+
+def ref_evaluate(f, p, x):
+    """Horner over the Fraction coefficients, in the argument's arithmetic."""
+    acc = None
+    for row in reversed(f.coeffs):
+        racc = None
+        for c in reversed(row):
+            racc = c if racc is None else racc * x + c
+        acc = racc if acc is None else acc * p + racc
+    return acc
+
+
+def _zero_lines(f, rows, cols):
+    """f with the chosen rows and columns of its coefficient matrix zeroed."""
+    return BiPoly([[0 if i in rows or j in cols else c for j, c in enumerate(row)]
+                   for i, row in enumerate(f.coeffs)])
+
+
+polys_with_zeros = st.builds(_zero_lines, polys, st.sets(st.integers(0, 4)),
+                             st.sets(st.integers(0, 4)))
+points = st.one_of(st.integers(-9, 9),
+                   st.builds(F, st.integers(-90, 90), st.integers(1, 35)))
+float_points = st.floats(-8, 8, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_zeros, points, points)
+def test_evaluate_rational_matches_reference(f, p, x):
+    got = f.evaluate(p, x)
+    assert type(got) is F and got == ref_evaluate(f, p, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_with_zeros, float_points, float_points)
+def test_evaluate_float_is_bit_identical_to_reference(f, p, x):
+    # float() only matters for a 1x1 polynomial, where the reference
+    # returns its Fraction coefficient and evaluate rounds it
+    ref = float(ref_evaluate(f, p, x))
+    got = f.evaluate(p, x)
+    assert type(got) is float
+    assert got == ref and math.copysign(1, got) == math.copysign(1, ref)
+    np = pytest.importorskip("numpy")
+    assert f.evaluate(p, np.float64(x)) == float(ref_evaluate(f, p, np.float64(x)))

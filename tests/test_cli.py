@@ -149,3 +149,31 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["radius", "--gamma", "1e999999999"])  # exponents are refused
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-h2", "--json"],
+    ["certify-h3", "--out"],
+    ["certify-h3", "--json"],
+    ["bernstein", "--poly", "f.poly", "--certify", "--out"],
+    ["max-a4", "--grid", "16", "--refine", "1", "--json"],
+])
+def test_unwritable_output_path_exits_64(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.poly").write_text("bidegree 2 2\n2 0 3\n1 1 -2\n0 2 3\n0 0 1/50\n")
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, *argv, str(target))
+    assert code == 64
+    assert err == f"starcert {argv[0]}: cannot write {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("grid", ["0", "3"])
+def test_certify_h3_rejects_small_grid(capsys, grid):
+    code, out, err = run(capsys, "certify-h3", "--grid", grid)
+    assert code == 64 and out == ""
+    assert err == "starcert certify-h3: grid must be >= 4\n"
+
+
+def test_certify_h3_smallest_grid(capsys):
+    code, out, _ = run(capsys, "certify-h3", "--grid", "4")
+    assert code == 0 and "oracle_samples: 23040" in out

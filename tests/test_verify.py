@@ -35,6 +35,18 @@ def test_verify_h2_rejects_small_grid():
         verify_h2(grid=8)
 
 
+@pytest.mark.parametrize("grid", [0, 3])
+def test_verify_h3_rejects_small_grid(grid):
+    # grid 3 draws 6912 oracle samples, below the oracle's own 10^4 floor
+    with pytest.raises(ValueError, match="grid must be >= 4"):
+        verify_h3(grid=grid)
+
+
+def test_verify_h3_smallest_grid():
+    report = verify_h3(grid=4)
+    assert report.verified and report.details["oracle_samples"] == 23040
+
+
 def test_verify_h3(h3_report):
     assert h3_report.verified
     assert h3_report.bound == F(1, 9)
