@@ -613,7 +613,10 @@ class PositivityCertificate:
     @classmethod
     def from_json(cls, text: str,
                   corner_rule: Optional[CornerRule] = None) -> "PositivityCertificate":
-        return cls.from_json_doc(json.loads(text), corner_rule)
+        try:
+            return cls.from_json_doc(json.loads(text), corner_rule)
+        except RecursionError as exc:
+            raise ValueError("certificate nested too deeply to read") from exc
 
 
 def _node_to_dict(node: CertificateNode) -> dict:
@@ -631,20 +634,35 @@ def _node_to_dict(node: CertificateNode) -> dict:
     return doc
 
 
+def _rational_list(doc: dict, key: str, count: int) -> tuple:
+    values = doc[key]
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"certificate node {key!r} must be a list of "
+                         f"{count} rationals")
+    return tuple(parse_rational(v) for v in values)
+
+
 def _node_from_dict(doc: dict) -> CertificateNode:
+    """One node of a certificate document; ValueError on any malformed part."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"certificate node must be an object, "
+                         f"got {type(doc).__name__}")
     try:
-        box = Box(*(parse_rational(v) for v in doc["box"]))
+        box = Box(*_rational_list(doc, "box", 4))
         status = doc["status"]
         if status not in (STATUS_POSITIVE, STATUS_SUBDIVIDED, STATUS_CORNER, STATUS_FAILED):
             raise ValueError(f"unknown node status {status!r}")
+        children = doc.get("children", [])
+        if not isinstance(children, list):
+            raise ValueError("certificate node 'children' must be a list")
         node = CertificateNode(
             box=box,
             status=status,
             min_bcoeff=parse_rational(doc["min_bcoeff"]),
             max_bcoeff=parse_rational(doc["max_bcoeff"]),
-            children=tuple(_node_from_dict(c) for c in doc.get("children", [])),
+            children=tuple(_node_from_dict(c) for c in children),
             margin=parse_rational(doc["margin"]) if "margin" in doc else None,
-            witness=tuple(parse_rational(v) for v in doc["witness"]) if "witness" in doc else None,
+            witness=_rational_list(doc, "witness", 3) if "witness" in doc else None,
         )
     except KeyError as exc:
         raise ValueError(f"certificate node missing field {exc}") from exc
@@ -775,8 +793,10 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                     f"children of {node.box} are not its quadrants")
             return all([walk(child) for child in node.children])
         if node.status == STATUS_FAILED:
-            if node.witness is None:
-                raise CertificateError("failed leaf without witness")
+            if node.witness is None or len(node.witness) != 3:
+                raise CertificateError(
+                    f"failed leaf needs a witness (p, x, value), "
+                    f"got {node.witness!r}")
             wp, wx, wv = node.witness
             if not (node.box.p_lo <= wp <= node.box.p_hi
                     and node.box.x_lo <= wx <= node.box.x_hi):

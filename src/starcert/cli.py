@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 __all__ = ["main"]
 
@@ -53,11 +53,12 @@ def _number(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
-def _rational(text: str) -> Fraction:
+def _read(path: str) -> str:
+    """Read an input file; main() reports a failure as a usage error."""
     try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -80,30 +81,26 @@ def _leaf_note(leaf) -> str:
 
 
 def _read_schwarz(spec: str, order: int):
-    """A Schwarz function from 'z', 'z^k', or a coefficient file.
+    """A Schwarz function from 'z', 'z^k' ('z**k'), or a coefficient file.
 
     A file holds whitespace-separated exact rationals w1 w2 ... (the
-    coefficients of z, z^2, ...); '#' starts a comment.
+    coefficients of z, z^2, ...); '#' starts a comment.  The monomial
+    forms are matched first, so a file named like one is given as './z'.
     """
-    from .series import TruncSeries
-    path = Path(spec)
-    if path.is_file():
-        tokens = []
-        for line in path.read_text().splitlines():
-            line = line.split("#", 1)[0]
-            tokens.extend(line.split())
-        coeffs = [Fraction(0)] + [parse_rational(t) for t in tokens]
-        return TruncSeries.from_coeffs(coeffs, max(order, len(coeffs) - 1))
+    from .series import TruncSeries, schwarz_monomial
     mono = spec.replace("**", "^")
     if mono == "z":
-        k = 1
-    elif mono.startswith("z^"):
-        k = int(mono[2:])
-    else:
-        raise ValueError(f"--schwarz wants 'z', 'z^k' or a file, got {spec!r}")
-    if k < 1:
-        raise ValueError("exponent must be >= 1")
-    return TruncSeries.monomial(k, max(order, k))
+        return schwarz_monomial(1, order)
+    if mono.startswith("z^"):
+        return schwarz_monomial(int(mono[2:]), order)
+    try:
+        text = _read(spec)
+    except ValueError as exc:
+        raise ValueError(f"--schwarz wants 'z', 'z^k' or a file; {exc}") from exc
+    tokens = []
+    for line in text.splitlines():
+        tokens.extend(line.split("#", 1)[0].split())
+    return TruncSeries.from_coeffs([0] + tokens, order)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +109,7 @@ def _read_schwarz(spec: str, order: int):
 
 def _cmd_expand(args) -> int:
     from .series import member_from_schwarz
-    try:
-        w = _read_schwarz(args.schwarz, args.order)
-    except (ValueError, OSError) as exc:
-        print(f"expand: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    f = member_from_schwarz(w, args.order)
+    f = member_from_schwarz(_read_schwarz(args.schwarz, args.order), args.order)
     parts = [f"a{k}={format_rational(f.coeff(k))}"
              for k in range(2, args.order + 1)]
     print(" ".join(parts))
@@ -159,19 +151,25 @@ def _cmd_bernstein(args) -> int:
     from .bernstein import (UNIT_BOX, Box, CertificateError, CornerRule,
                             bound_above, certify_positive, check_certificate,
                             parse_poly_text)
-    try:
-        poly = parse_poly_text(Path(args.poly).read_text())
-    except (ValueError, OSError) as exc:
-        print(f"bernstein: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    if args.bound_above:
+        mode, foreign = "--bound-above", {"--out": args.out,
+                                          "--corner": args.corner,
+                                          "--max-depth": args.max_depth}
+    else:
+        mode, foreign = "--certify", {"--depth": args.depth}
+    for flag, value in foreign.items():
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to {mode}")
+    poly = parse_poly_text(_read(args.poly))
     box = Box(*args.box) if args.box else UNIT_BOX
     if args.bound_above:
-        hi = bound_above(poly, box, args.depth)
+        hi = bound_above(poly, box, args.depth or 0)
         print(f"bernstein upper bound on {box}: "
               f"{format_rational(hi)} = {float(hi):.12g}")
         return 0
     corner = CornerRule(*args.corner) if args.corner else None
-    cert = certify_positive(poly, box, args.max_depth, corner)
+    max_depth = 3 if args.max_depth is None else args.max_depth
+    cert = certify_positive(poly, box, max_depth, corner)
     try:
         check_certificate(poly, cert, box)
     except CertificateError as exc:  # pragma: no cover - internal bug guard
@@ -190,11 +188,7 @@ def _cmd_bernstein(args) -> int:
 
 def _cmd_radius(args) -> int:
     from .radius import solve_radius
-    try:
-        res = solve_radius(args.gamma, args.tol)
-    except ValueError as exc:
-        print(f"radius: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    res = solve_radius(args.gamma, args.tol)
     print(f"gamma:      {format_rational(res.gamma)}")
     print(f"root:       {res.root:.18f}")
     print(f"bracket:    [{format_rational(res.bracket_lo)}, "
@@ -224,11 +218,7 @@ def _cmd_max_a4(args) -> int:
 
 def _cmd_janowski(args) -> int:
     from .gft import JanowskiParams, janowski_check
-    try:
-        params = JanowskiParams(args.A, args.B)
-    except ValueError as exc:
-        print(f"janowski: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    params = JanowskiParams(args.A, args.B)
     ok, rep = janowski_check(params)
     print(f"A = {format_rational(params.A)}, B = {format_rational(params.B)}")
     print(f"image disk:    center {format_rational(rep.center)}, "
@@ -295,17 +285,21 @@ def _build_parser() -> _Parser:
                        help="certify positivity / bound a bivariate "
                             "polynomial from a .poly file")
     q.add_argument("--poly", required=True, metavar="FILE")
-    q.add_argument("--box", nargs=4, type=_rational,
+    q.add_argument("--box", nargs=4, type=_number,
                    metavar=("PLO", "PHI", "XLO", "XHI"))
     mode = q.add_mutually_exclusive_group(required=True)
     mode.add_argument("--certify", action="store_true")
     mode.add_argument("--bound-above", action="store_true")
-    q.add_argument("--corner", nargs=2, type=_rational, metavar=("PLO", "XLO"),
-                   help="corner point eligible for the tail estimate")
-    q.add_argument("--max-depth", type=int, default=3)
-    q.add_argument("--depth", type=int, default=0,
-                   help="uniform subdivision depth for --bound-above")
-    q.add_argument("--out", metavar="PATH", help="write the certificate JSON")
+    q.add_argument("--corner", nargs=2, type=_number, metavar=("PLO", "XLO"),
+                   help="corner point eligible for the tail estimate "
+                        "(--certify)")
+    q.add_argument("--max-depth", type=int,
+                   help="subdivision budget for --certify (default 3)")
+    q.add_argument("--depth", type=int,
+                   help="uniform subdivision depth for --bound-above "
+                        "(default 0)")
+    q.add_argument("--out", metavar="PATH",
+                   help="write the certificate JSON (--certify)")
     q.set_defaults(func=_cmd_bernstein)
 
     q = sub.add_parser("radius",

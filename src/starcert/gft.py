@@ -253,8 +253,6 @@ def h3_schwarz_poly(c: SchwarzCoeffs | tuple):
 class YMaxDetail:
     value: float
     branch: str
-    near_boundary: bool
-    boundary_gap: float
 
 
 def _y_R(aA: float, aB: float, aC: float, A: float, B: float, C: float):
@@ -265,40 +263,31 @@ def _y_R(aA: float, aB: float, aC: float, A: float, B: float, C: float):
     return (aA + aC) * math.sqrt(1 - B * B / (4 * A * C)), "R.curve"
 
 
-def y_max_detail(A, B, C, boundary_eps: float = 1e-9) -> YMaxDetail:
+def y_max_detail(A, B, C) -> YMaxDetail:
     """max over the closed unit disk of |A + Bz + Cz^2| + 1 - |z|^2.
 
     Case split for real A, B, C.  For AC < 0 the inner condition uses
     -4AC(C^{-2} - 1); with C^2 in place of C^{-2} the formula fails
     against direct maximization, so the inverse-square form is the one
     implemented.  Branch boundaries are decided by first match in the
-    order written here; inputs within ``boundary_eps`` of a boundary are
-    flagged in the returned detail rather than resolved specially.
+    order written here.
     """
     A, B, C = float(A), float(B), float(C)
     aA, aB, aC = abs(A), abs(B), abs(C)
-    gaps = []
     if A * C >= 0:
-        gaps.append(abs(aB - 2 * (1 - aC)))
         if aB >= 2 * (1 - aC):
             val, br = aA + aB + aC, "i.edge"
         else:
             val, br = 1 + aA + B * B / (4 * (1 - aC)), "i.parabola"
     else:
         disc = -4 * A * C * (C ** -2 - 1)
-        gaps.append(abs(B * B - disc))
-        gaps.append(abs(aB - 2 * (1 - aC)))
         if disc <= B * B and aB < 2 * (1 - aC):
             val, br = 1 - aA + B * B / (4 * (1 - aC)), "ii.inner"
         elif B * B < min(4 * (1 + aC) ** 2, disc):
-            gaps.append(abs(B * B - 4 * (1 + aC) ** 2))
             val, br = 1 + aA + B * B / (4 * (1 + aC)), "ii.outer"
         else:
-            gaps.append(abs(aC * (aB + 4 * aA) - abs(A * B)))
-            gaps.append(abs(abs(A * B) - aC * (aB - 4 * aA)))
             val, br = _y_R(aA, aB, aC, A, B, C)
-    gap = min(gaps) if gaps else math.inf
-    return YMaxDetail(val, br, gap < boundary_eps, gap)
+    return YMaxDetail(val, br)
 
 
 def y_max(A, B, C) -> float:

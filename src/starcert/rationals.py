@@ -17,8 +17,11 @@ def parse_rational(text: str) -> Fraction:
 
     Raises ValueError on anything else (floats included: the decimal
     point is rejected on purpose so inexact values cannot sneak into a
-    certificate).
+    certificate), and on input that is not a string at all, such as a
+    JSON number or null read from a certificate file.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact rational: {text!r}")
     s = text.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"not an exact rational: {text!r}")

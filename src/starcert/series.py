@@ -21,16 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .rationals import as_fraction
+
 __all__ = ["TruncSeries", "phi_series", "member_from_schwarz", "schwarz_monomial",
            "DEFAULT_ORDER"]
 
 DEFAULT_ORDER = 8
-
-
-def _coerce(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("series coefficients must be exact rationals, got float")
-    return Fraction(value)
 
 
 class TruncSeries:
@@ -44,7 +40,7 @@ class TruncSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(_coerce(c) for c in coeffs)
+        cs = tuple(as_fraction(c) for c in coeffs)
         if not cs:
             raise ValueError("series needs at least the constant coefficient")
         self.coeffs = cs
@@ -54,7 +50,7 @@ class TruncSeries:
     @classmethod
     def from_coeffs(cls, coeffs: Sequence, order: int | None = None) -> "TruncSeries":
         """Build a series, padding with zeros (or truncating) to ``order``."""
-        cs = [_coerce(c) for c in coeffs]
+        cs = [as_fraction(c) for c in coeffs]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -118,7 +114,7 @@ class TruncSeries:
         return TruncSeries(-a for a in self.coeffs)
 
     def scale(self, factor) -> "TruncSeries":
-        f = _coerce(factor)
+        f = as_fraction(factor)
         return TruncSeries(f * a for a in self.coeffs)
 
     def __mul__(self, other):

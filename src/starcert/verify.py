@@ -66,9 +66,8 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _random_fraction(rng: random.Random, lo: Fraction, hi: Fraction,
-                     max_den: int = 400) -> Fraction:
-    den = rng.randint(40, max_den)
+def _random_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
+    den = rng.randint(40, 400)
     num = rng.randint(1, den - 1)
     return lo + (hi - lo) * Fraction(num, den)
 

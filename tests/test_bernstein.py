@@ -1,4 +1,6 @@
 """Bernstein enclosure machinery: conversion, subdivision, certificates."""
+import copy
+import dataclasses
 import json
 import math
 import random
@@ -371,6 +373,75 @@ def test_check_rejects_wrong_root_box():
     cert = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=3)
     with pytest.raises(CertificateError, match="root box"):
         check_certificate(POSITIVE_POLY, cert, Box(0, F(1, 2), 0, 1))
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_check_rejects_wrong_length_witness(size):
+    root = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=0).root
+    assert root.status == STATUS_FAILED
+    bad = dataclasses.replace(root, witness=(root.witness * 2)[:size])
+    with pytest.raises(CertificateError, match="witness"):
+        check_certificate(POSITIVE_POLY, PositivityCertificate(bad))
+
+
+# ---------------------------------------------------------------------------
+# certificate JSON intake: parse or ValueError, never another exception
+# ---------------------------------------------------------------------------
+
+RATIONAL_TEXT = st.sampled_from(["0", "1/2", "-3", "1/0", "0.5", "1e3", " ", ""])
+JSON_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=6) | RATIONAL_TEXT)
+JSON_VALUE = st.recursive(
+    JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+FIELD_VALUE = JSON_SCALAR | st.lists(RATIONAL_TEXT, max_size=5) | JSON_VALUE
+NODE_FIELDS = ("box", "status", "min_bcoeff", "max_bcoeff", "children",
+               "margin", "witness")
+# depth 1 on the positive example: subdivided root, failed leaves with witnesses
+VALID_DOC = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=1).to_json_doc()
+
+
+@pytest.mark.parametrize("doc", [
+    [VALID_DOC],
+    {**VALID_DOC, "box": [0, 1, 0, 1]},
+    {**VALID_DOC, "box": ["0", "1", "0"]},
+    {**VALID_DOC, "min_bcoeff": None},
+    {**VALID_DOC, "children": "x"},
+    {**VALID_DOC, "children": [1]},
+    {**VALID_DOC, "children": None},
+])
+def test_from_json_malformed_raises_value_error(doc):
+    with pytest.raises(ValueError):
+        PositivityCertificate.from_json(json.dumps(doc))
+
+
+def test_from_json_deep_nesting_raises_value_error():
+    leaf = json.dumps(VALID_DOC["children"][0])
+    text = '{"children": [' * 10 ** 5 + leaf + "]}" * 10 ** 5
+    with pytest.raises(ValueError, match="nested too deeply"):
+        PositivityCertificate.from_json(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_json_mutated_parses_or_raises_value_error(data):
+    doc = copy.deepcopy(VALID_DOC)
+    nodes = [doc] + doc["children"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = data.draw(st.sampled_from(nodes))
+        field = data.draw(st.sampled_from(NODE_FIELDS))
+        if data.draw(st.booleans()):
+            node.pop(field, None)
+        else:
+            node[field] = data.draw(FIELD_VALUE)
+    if data.draw(st.integers(0, 9)) == 0:
+        doc = data.draw(JSON_VALUE)
+    try:
+        PositivityCertificate.from_json(json.dumps(doc))
+    except ValueError:
+        pass
 
 
 # ---------------------------------------------------------------------------

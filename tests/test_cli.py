@@ -4,7 +4,9 @@ import json
 import pytest
 
 from starcert.bernstein import PositivityCertificate
-from starcert.cli import main
+from starcert.cli import _read_schwarz, main
+
+POLY_TEXT = "bidegree 2 2\n2 0 3\n1 1 -2\n0 2 3\n0 0 1/50\n"
 
 
 def run(capsys, *argv):
@@ -35,7 +37,13 @@ def test_expand_coefficient_file(tmp_path, capsys):
 
 def test_expand_bad_spec(capsys):
     code, _, err = run(capsys, "expand", "--schwarz", "q")
-    assert code == 64 and "expand" in err
+    assert code == 64
+    assert err == ("starcert expand: --schwarz wants 'z', 'z^k' or a file; "
+                   "cannot read q: No such file or directory\n")
+
+
+def test_schwarz_monomial_is_built_at_the_requested_order():
+    assert _read_schwarz("z^1000000", 5).order == 5
 
 
 def test_radius_output(capsys):
@@ -127,16 +135,47 @@ def test_bernstein_corner_flag(tmp_path, capsys):
     poly = tmp_path / "g.poly"
     # vanishes quadratically at the origin; tail small on [0,1/8]^2
     poly.write_text("bidegree 3 3\n2 0 5\n1 1 -2\n0 2 4\n3 0 -1\n0 3 -1\n")
-    code, out, _ = run(capsys, "bernstein", "--poly", str(poly),
-                       "--box", "0", "1/8", "0", "1/8",
-                       "--certify", "--corner", "0", "0")
+    code, out, err = run(capsys, "bernstein", "--poly", str(poly),
+                         "--box", "0", "1/8", "0", "1/8",
+                         "--certify", "--corner", "0", "0")
     assert code == 0 and "corner_certified" in out
+    # decimals are read exactly
+    assert run(capsys, "bernstein", "--poly", str(poly),
+               "--box", "0", "0.125", "0", ".125",
+               "--certify", "--corner", "0.0", "0") == (code, out, err)
+
+
+def test_bernstein_box_reads_decimals(tmp_path, capsys):
+    poly = tmp_path / "f.poly"
+    poly.write_text(POLY_TEXT)
+    bound = ["bernstein", "--poly", str(poly), "--bound-above"]
+    exact = run(capsys, *bound, "--box", "0", "1/2", "0", "1")
+    assert exact[0] == 0 and "[0,1/2]x[0,1]" in exact[1]
+    assert run(capsys, *bound, "--box", "0", "0.5", "0", "1") == exact
 
 
 def test_bernstein_missing_poly(tmp_path, capsys):
-    code, _, err = run(capsys, "bernstein", "--poly",
-                       str(tmp_path / "nope.poly"), "--certify")
-    assert code == 64
+    path = tmp_path / "nope.poly"
+    code, out, err = run(capsys, "bernstein", "--poly", str(path), "--certify")
+    assert code == 64 and out == ""
+    assert err == (f"starcert bernstein: cannot read {path}: "
+                   "No such file or directory\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bound-above", "--out", "x.json"],
+    ["--bound-above", "--corner", "0", "0"],
+    ["--bound-above", "--max-depth", "2"],
+    ["--certify", "--depth", "4"],
+])
+def test_bernstein_refuses_flags_of_the_other_mode(tmp_path, capsys,
+                                                   monkeypatch, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.poly").write_text(POLY_TEXT)
+    code, out, err = run(capsys, "bernstein", "--poly", "f.poly", *flags)
+    assert code == 64 and out == ""
+    assert err == f"starcert bernstein: {flags[1]} does not apply to {flags[0]}\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_usage_errors_exit_64(capsys):
@@ -148,6 +187,10 @@ def test_usage_errors_exit_64(capsys):
     assert exc.value.code == 64
     with pytest.raises(SystemExit) as exc:
         main(["radius", "--gamma", "1e999999999"])  # exponents are refused
+    assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["bernstein", "--poly", "f.poly", "--bound-above",
+              "--box", "0", "1e-1", "0", "1"])
     assert exc.value.code == 64
 
 

@@ -15,7 +15,8 @@ def test_parse_normalizes():
     assert parse_rational(" 2/4 ") == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("bad", ["0.5", "1e-3", "2E5", "abc", "1/0", ""])
+@pytest.mark.parametrize("bad", ["0.5", "1e-3", "2E5", "abc", "1/0", "",
+                                 None, 3, ["1"]])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

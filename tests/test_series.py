@@ -30,6 +30,12 @@ def test_floats_rejected():
         TruncSeries.from_coeffs([0.5], 2)
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e3"])
+def test_decimal_and_exponent_strings_rejected(text):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        TruncSeries([text])
+
+
 def test_ring_identities():
     g = geometric(8)
     one = TruncSeries.one(8)
