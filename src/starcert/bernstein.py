@@ -51,6 +51,12 @@ class CertificateError(Exception):
 # polynomials in the power basis
 # ======================================================================
 
+# BiPoly.from_terms (and so parse_poly_text) refuses degrees above this:
+# the dense (m+1) x (n+1) matrix of a 'bidegree 100000 100000' header alone
+# would be 10^10 entries.  The certified polynomials have bidegree (6, 4).
+MAX_DEGREE = 256
+
+
 def _freeze(rows: Iterable[Iterable]) -> tuple:
     out = tuple(tuple(as_fraction(c) for c in row) for row in rows)
     if not out or not out[0]:
@@ -86,7 +92,11 @@ class BiPoly:
 
     @classmethod
     def from_terms(cls, terms, bidegree: tuple[int, int] | None = None) -> "BiPoly":
-        """Build from {(i, j): coeff} or an iterable of (i, j, coeff)."""
+        """Build from {(i, j): coeff} or an iterable of (i, j, coeff).
+
+        The matrix is dense, so each degree must be at most MAX_DEGREE;
+        a larger one raises ValueError before anything is allocated.
+        """
         if isinstance(terms, dict):
             items = [(i, j, c) for (i, j), c in terms.items()]
         else:
@@ -97,6 +107,9 @@ class BiPoly:
             if bidegree[0] < m or bidegree[1] < n:
                 raise ValueError(f"terms exceed declared bidegree {bidegree}")
             m, n = bidegree
+        if max(m, n) > MAX_DEGREE:
+            raise ValueError(f"bidegree ({m}, {n}) exceeds the cap of "
+                             f"{MAX_DEGREE} per variable")
         rows = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
         for i, j, c in items:
             if i < 0 or j < 0:

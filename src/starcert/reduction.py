@@ -87,7 +87,7 @@ class H3Reduction:
 
     def majorant(self, p, x, y):
         """H(p, x, y); exact for rational arguments."""
-        return self._grouped(p, x, y, y)
+        return self.grouped(self.groups(p, x), y, y)
 
     def majorant_capped(self, p, x, y):
         """H1(p, x, y): the y-linear group frozen at its maximum y = 1.
@@ -95,15 +95,23 @@ class H3Reduction:
         Affine in y^2, so over y in [0, 1] its maximum is attained at
         y = 1 (endpoint_y1) or y = 0 (endpoint_y0).
         """
-        return self._grouped(p, x, y, 1)
+        return self.grouped(self.groups(p, x), y, 1)
 
-    def _grouped(self, p, x, y, y_linear):
-        """The four-group sum, with ``y_linear`` as the factor on ycoef."""
+    def groups(self, p, x) -> tuple:
+        """The values of (base, ycoef, y2coef, comp) at (p, x).
+
+        Evaluate once per (p, x) and pass to :meth:`grouped` for each y.
+        """
+        return (self.base.evaluate(p, x), self.ycoef.evaluate(p, x),
+                self.y2coef.evaluate(p, x), self.comp.evaluate(p, x))
+
+    @staticmethod
+    def grouped(groups: tuple, y, y_linear):
+        """The four-group sum of :meth:`groups` values, with ``y_linear``
+        as the factor on ycoef (``y`` gives H, ``1`` gives H1)."""
+        base, ycoef, y2coef, comp = groups
         y2 = y * y
-        return (self.base.evaluate(p, x)
-                + self.ycoef.evaluate(p, x) * y_linear
-                + self.y2coef.evaluate(p, x) * y2
-                + self.comp.evaluate(p, x) * (1 - y2))
+        return base + ycoef * y_linear + y2coef * y2 + comp * (1 - y2)
 
 
 def build_h3_reduction() -> H3Reduction:

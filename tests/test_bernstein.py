@@ -10,8 +10,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starcert.bernstein import (UNIT_BOX, BiPoly, Box, CertificateError,
-                                CornerRule, PositivityCertificate,
+from starcert.bernstein import (MAX_DEGREE, UNIT_BOX, BiPoly, Box,
+                                CertificateError, CornerRule,
+                                PositivityCertificate,
                                 STATUS_CORNER, STATUS_FAILED, STATUS_POSITIVE,
                                 bound_above, certify_positive,
                                 check_certificate, corner_estimate,
@@ -54,6 +55,22 @@ def test_bipoly_rejects_floats():
 def test_from_terms_duplicates():
     with pytest.raises(ValueError):
         BiPoly.from_terms([(0, 0, 1), (0, 0, 2)])
+
+
+# Each case would allocate at least 10^9 entries if the cap were missed.
+@pytest.mark.parametrize("terms, bidegree", [
+    ([], (100000, 100000)),
+    ([(10 ** 9, 0, 1)], None),
+    ([(0, 10 ** 9, 1)], None),
+])
+def test_from_terms_refuses_degree_above_cap(terms, bidegree):
+    with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_DEGREE}"):
+        BiPoly.from_terms(terms, bidegree)
+
+
+def test_from_terms_accepts_the_cap():
+    f = BiPoly.from_terms([(MAX_DEGREE, 0, 1)], (MAX_DEGREE, 1))
+    assert f.bidegree == (MAX_DEGREE, 1)
 
 
 def test_poly_text_roundtrip():
@@ -490,3 +507,49 @@ def test_evaluate_float_is_bit_identical_to_reference(f, p, x):
     assert got == ref and math.copysign(1, got) == math.copysign(1, ref)
     np = pytest.importorskip("numpy")
     assert f.evaluate(p, np.float64(x)) == float(ref_evaluate(f, p, np.float64(x)))
+
+
+# ---------------------------------------------------------------------------
+# polynomial text intake: a BiPoly or ValueError, never another exception
+# ---------------------------------------------------------------------------
+
+def mostly(common, rare):
+    """Draw from ``common`` four times in five, else from ``rare``."""
+    return st.integers(0, 4).flatmap(lambda k: rare if k == 0 else common)
+
+
+EXPONENT_TEXT = mostly(st.integers(0, 4).map(str),
+                       st.integers(-3, -1).map(str)
+                       | st.sampled_from(["256", "257", "100000", str(10 ** 9),
+                                          "9" * 5000, "1.5", "2/1", "1e3", "x",
+                                          "", "-0", "+3", "0x1", "\u0663"]))
+COEFF_TEXT = mostly(st.builds("{}/{}".format, st.integers(-99, 99),
+                              st.integers(-2, 9)),
+                    RATIONAL_TEXT | st.text(max_size=6)
+                    | st.sampled_from(["--1", "1//2", "nan", "inf", "9" * 5000]))
+HEADER_LINE = mostly(st.builds("bidegree {} {}".format, EXPONENT_TEXT, EXPONENT_TEXT),
+                     st.sampled_from(["bidegree 1", "bidegree 1 1 1", "degree 1 1"])
+                     | st.text(max_size=12))
+TERM_LINE = mostly(st.builds("{} {} {}".format, EXPONENT_TEXT, EXPONENT_TEXT,
+                             COEFF_TEXT),
+                   st.sampled_from(["", "# comment", "1 1", "1 1 1 1"])
+                   | st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEADER_LINE, st.lists(TERM_LINE, max_size=6), st.booleans())
+def test_parse_poly_text_parses_or_raises_value_error(header, lines, duplicate):
+    if duplicate and lines:
+        lines.append(lines[0])
+    try:
+        f = parse_poly_text("\n".join([header, *lines]))
+    except ValueError:
+        return
+    assert isinstance(f, BiPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_zeros)
+def test_poly_text_roundtrip_keeps_coefficients_and_bidegree(f):
+    g = parse_poly_text(format_poly_text(f))
+    assert g.bidegree == f.bidegree and g.coeffs == f.coeffs

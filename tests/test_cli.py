@@ -162,6 +162,17 @@ def test_bernstein_missing_poly(tmp_path, capsys):
                    "No such file or directory\n")
 
 
+@pytest.mark.parametrize("mode", ["--certify", "--bound-above"])
+def test_bernstein_refuses_bidegree_above_cap(tmp_path, capsys, mode):
+    # one line asking for a 10^10-entry coefficient matrix
+    path = tmp_path / "huge.poly"
+    path.write_text("bidegree 100000 100000\n")
+    code, out, err = run(capsys, "bernstein", "--poly", str(path), mode)
+    assert code == 64 and out == ""
+    assert err == ("starcert bernstein: bidegree (100000, 100000) exceeds "
+                   "the cap of 256 per variable\n")
+
+
 @pytest.mark.parametrize("flags", [
     ["--bound-above", "--out", "x.json"],
     ["--bound-above", "--corner", "0", "0"],

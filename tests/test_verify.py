@@ -1,11 +1,17 @@
 """End-to-end pipelines and their reports."""
+import dataclasses
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from starcert.verify import (VerificationReport, a4_family, max_a4,
-                             verify_h2, verify_h3)
+from starcert import verify
+from starcert.cli import main
+from starcert.verify import (DEFAULT_SEED, VerificationReport, a4_family,
+                             max_a4, verify_h2, verify_h3)
 
 F = Fraction
 
@@ -110,3 +116,113 @@ def test_max_a4_validates_arguments():
         max_a4(grid=4)
     with pytest.raises(ValueError):
         max_a4(refine=0)
+
+
+# ---------------------------------------------------------------------------
+# blocked float oracles against their one-shot references
+# ---------------------------------------------------------------------------
+
+def ref_h3_oracle(grid):
+    """The H3 grid oracle as one _h3_param_abs call per c1 over the whole
+    (gamma, eta, rho) slab: (max, sample count)."""
+    gam = verify._polar_grid(grid // 2 + 1, 2 * grid)
+    eta = verify._polar_grid(3, grid)
+    rho = verify._polar_grid(2, 8)
+    observed, samples = 0.0, 0
+    for c1 in np.linspace(0.0, 1.0, grid + 1):
+        vals = verify._h3_param_abs(c1, gam[:, None, None], eta[None, :, None],
+                                    rho[None, None, :])
+        observed = max(observed, float(vals.max()))
+        samples += vals.size
+    return observed, samples
+
+
+def ref_a4_coarse(grid):
+    """The max_a4 coarse scan as one broadcast over (c1, gamma, eta) and
+    np.argmax: ((value, c1, gamma, eta), sample count)."""
+    c1s = np.linspace(0.0, 1.0, grid + 1)
+    gam = verify._polar_grid(grid // 3 + 1, 2 * grid)
+    eta = verify._polar_grid(3, 8)
+    vals = verify._a4_abs(c1s[:, None, None], gam[None, :, None],
+                          eta[None, None, :])
+    i, j, k = np.unravel_index(np.argmax(vals), vals.shape)
+    return ((float(vals[i, j, k]), float(c1s[i]), complex(gam[j]),
+             complex(eta[k])), vals.size)
+
+
+@pytest.mark.parametrize("grid", [4, 12, 20])
+def test_h3_oracle_matches_whole_slab_reference(grid, h3_report):
+    report = h3_report if grid == 12 else verify_h3(grid=grid)
+    d = report.details
+    assert (d["oracle_max_scaled"], d["oracle_samples"]) == ref_h3_oracle(grid)
+
+
+@pytest.mark.parametrize("grid", [16, 24, 48])
+def test_a4_coarse_matches_full_broadcast_argmax(grid):
+    assert verify._a4_coarse(grid) == ref_a4_coarse(grid)
+
+
+def test_a4_coarse_breaks_ties_like_argmax(monkeypatch):
+    # rounded values tie across many c1 rows; the first in C order wins
+    exact = verify._a4_abs
+    monkeypatch.setattr(verify, "_a4_abs", lambda *args: np.round(exact(*args), 1))
+    assert verify._a4_coarse(24) == ref_a4_coarse(24)
+
+
+def test_domination_samples_match_sequential_draws():
+    rng = np.random.default_rng(DEFAULT_SEED)
+    rounds = []
+    for _ in range(300):
+        c1 = rng.uniform(0, 1)
+        g = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        e = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        r = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        rounds.append((c1, g, e, r))
+    got = verify._domination_samples(DEFAULT_SEED)
+    for drawn, sequential in zip(got, zip(*rounds)):
+        assert np.array_equal(drawn, np.array(sequential))
+
+
+# ---------------------------------------------------------------------------
+# the vectorised checks fail on a broken reduction
+# ---------------------------------------------------------------------------
+
+def test_lowered_majorant_fails_domination(monkeypatch, reduction, capsys):
+    # the smallest sampled margin H - |9216 H3| is about 0.13
+    lowered = dataclasses.replace(reduction, base=reduction.base - 1)
+    monkeypatch.setattr(verify, "build_h3_reduction", lambda: lowered)
+    report = verify_h3(grid=4)
+    assert report.details["majorant_dominates_samples"] is False
+    assert report.status == "failed" and report.details["failure"] == "oracle"
+    assert main(["certify-h3", "--grid", "4"]) == 3
+    assert "majorant_dominates_samples: False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("group, delta", [
+    ("base", 1), ("ycoef", 1), ("ycoef", -1), ("y2coef", 1), ("comp", 1)])
+def test_corrupted_group_fails_capped_between_endpoints(monkeypatch, reduction,
+                                                        group, delta):
+    corrupted = dataclasses.replace(
+        reduction, **{group: getattr(reduction, group) + delta})
+    monkeypatch.setattr(verify, "build_h3_reduction", lambda: corrupted)
+    report = verify_h3(grid=4)
+    assert report.details["capped_between_endpoints"] is False
+    assert report.details["failure"] == "certification"
+
+
+# ---------------------------------------------------------------------------
+# memory: the oracles never hold a whole grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("oracle, ceiling_mb", [(max_a4, 8), (verify_h3, 4)])
+def test_oracle_peak_allocation(oracle, ceiling_mb, h3_report):
+    # tracemalloc counts numpy buffers; evaluated whole, the grids peaked
+    # at about 90 MB (max_a4) and 7 MB (verify_h3), in blocks at 2.3 MB
+    # and 1.4 MB.  h3_report has filled the lazy caches.
+    tracemalloc.start()
+    try:
+        oracle()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling_mb * 2 ** 20
