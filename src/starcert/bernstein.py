@@ -323,7 +323,7 @@ class Box:
         for name in ("p_lo", "p_hi", "x_lo", "x_hi"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if not (self.p_lo < self.p_hi and self.x_lo < self.x_hi):
-            raise ValueError(f"degenerate box {self.as_tuple()}")
+            raise ValueError(f"degenerate box {self}")
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_lo, self.p_hi, self.x_lo, self.x_hi)

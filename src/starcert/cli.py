@@ -92,6 +92,8 @@ def _read_schwarz(spec: str, order: int):
     if mono == "z":
         return schwarz_monomial(1, order)
     if mono.startswith("z^"):
+        if not mono[2:].isdecimal():
+            raise ValueError(f"--schwarz wants 'z', 'z^k' or a file; got {spec!r}")
         return schwarz_monomial(int(mono[2:]), order)
     try:
         text = _read(spec)
@@ -118,7 +120,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify_h2(args) -> int:
     from .verify import verify_h2
-    report = verify_h2(grid=args.grid, seed=args.seed)
+    report = verify_h2(grid=args.grid)
     print(report.render())
     if args.json:
         _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
@@ -267,7 +269,6 @@ def _build_parser() -> _Parser:
                        help="certify the sharp bound 1/4 for the second "
                             "Hankel determinant")
     q.add_argument("--grid", type=int, default=32)
-    q.add_argument("--seed", type=int, default=20240605)
     q.add_argument("--json", metavar="PATH", help="write the report as JSON")
     q.set_defaults(func=_cmd_verify_h2)
 

@@ -35,8 +35,25 @@ __all__ = [
     "y_max", "y_max_detail", "YMaxDetail",
     "JanowskiParams", "DiskReport", "janowski_check",
     "PhiScanReport", "ma_minda_scan",
-    "H2Terms", "h2_terms", "h2_normalized", "h2_envelope", "h2_envelope_deriv",
+    "H2Terms", "h2_terms", "h2_envelope",
 ]
+
+
+# Float oracles and scans evaluate their grids in blocks of about this many
+# samples, so each complex temporary stays near 256 KB and in cache; the
+# formulas are elementwise, so blocking changes no value.
+_BLOCK_SAMPLES = 1 << 14
+
+# The most samples one float oracle or scan may take: each counts its
+# samples before numpy loads and refuses more.  Blocks keep memory flat,
+# so this bounds run time.
+MAX_SAMPLES = 10 ** 9
+
+
+def _within_budget(samples: int) -> None:
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"the grid asks for {samples} samples, more than "
+                         f"the budget of {MAX_SAMPLES}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +396,11 @@ class PhiScanReport:
     passed: bool
 
 
+def _phi_scan_samples(grid_density: int, boundary_points: int) -> int:
+    """Samples :func:`ma_minda_scan` takes: the polar grid, then the circle."""
+    return grid_density * 4 * grid_density + boundary_points
+
+
 def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
                   radius_cap: float = 1 - 1e-6) -> PhiScanReport:
     """Numeric scan of the analytic properties the target function needs.
@@ -388,46 +410,60 @@ def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
     real part) and the starlikeness ratio |z/(8 + 3z)| of the Mobius
     transform (1 + z/2)/(1 + z/4).  On ``boundary_points`` points of the
     unit circle it measures |phi(e^it) - 5/4|^2, whose minimum value 1 is
-    attained exactly at t = 0 and t = pi.
+    attained exactly at t = 0 and t = pi.  Both scans run in blocks.
     """
     if grid_density < 8:
         raise ValueError("grid_density must be >= 8")
     npts = boundary_points if boundary_points is not None else grid_density * grid_density
     if npts % 2:
         npts += 1  # keep t = pi on the grid
+    _within_budget(_phi_scan_samples(grid_density, npts))
 
     import numpy as np
     radii = np.linspace(0.0, radius_cap, grid_density)
-    angles = np.linspace(0.0, 2 * math.pi, 4 * grid_density, endpoint=False)
-    z = radii[:, None] * np.exp(1j * angles)[None, :]
-    phi = (1 + z / 2) ** 2
-    mod = np.abs(phi)
-    ratio = np.abs(z / (8 + 3 * z))
+    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4 * grid_density,
+                                     endpoint=False))
+    rows = max(1, _BLOCK_SAMPLES // circle.size)
+    mod_min, mod_max, min_real, max_ratio = math.inf, -math.inf, math.inf, -math.inf
+    for start in range(0, radii.size, rows):
+        z = radii[start:start + rows, None] * circle[None, :]
+        phi = (1 + z / 2) ** 2
+        mod = np.abs(phi)
+        mod_min, mod_max = min(mod_min, float(mod.min())), max(mod_max, float(mod.max()))
+        min_real = min(min_real, float(phi.real.min()))
+        max_ratio = max(max_ratio, float(np.abs(z / (8 + 3 * z)).max()))
 
-    t = np.linspace(0.0, 2 * math.pi, npts, endpoint=False)
-    bnd = np.abs((1 + np.exp(1j * t) / 2) ** 2 - 1.25) ** 2
-    kmin = int(np.argmin(bnd))
+    # t_k = k * step, as np.linspace(0, 2 pi, npts, endpoint=False) has it;
+    # the strict < keeps the first minimum, the index np.argmin picks
+    step = 2 * math.pi / npts
+    bnd_min, t_min = math.inf, 0.0
+    for start in range(0, npts, _BLOCK_SAMPLES):
+        t = np.arange(start, min(npts, start + _BLOCK_SAMPLES), dtype=float) * step
+        bnd = np.abs((1 + np.exp(1j * t) / 2) ** 2 - 1.25) ** 2
+        k = int(np.argmin(bnd))
+        if float(bnd[k]) < bnd_min:
+            bnd_min, t_min = float(bnd[k]), float(t[k])
 
     at0 = abs((1 + 0.5) ** 2 - 1.25) ** 2
     atpi = abs((1 - 0.5) ** 2 - 1.25) ** 2
 
     checks = {
-        "modulus_above_quarter": float(mod.min()) > 0.25,
-        "modulus_below_nine_quarters": float(mod.max()) < 2.25,
-        "real_part_positive": float(phi.real.min()) > 0.0,
-        "starlike_ratio_below_fifth": float(ratio.max()) < 0.2,
-        "boundary_distance_at_least_one": float(bnd.min()) >= 1 - 1e-10,
+        "modulus_above_quarter": mod_min > 0.25,
+        "modulus_below_nine_quarters": mod_max < 2.25,
+        "real_part_positive": min_real > 0.0,
+        "starlike_ratio_below_fifth": max_ratio < 0.2,
+        "boundary_distance_at_least_one": bnd_min >= 1 - 1e-10,
         "tangency_at_0_and_pi": abs(at0 - 1) <= 1e-10 and abs(atpi - 1) <= 1e-10,
     }
     return PhiScanReport(
         grid_density=grid_density,
         radius_cap=radius_cap,
-        min_modulus=float(mod.min()),
-        max_modulus=float(mod.max()),
-        min_real=float(phi.real.min()),
-        max_starlike_ratio=float(ratio.max()),
-        boundary_min=float(bnd.min()),
-        boundary_argmin=float(t[kmin]),
+        min_modulus=mod_min,
+        max_modulus=mod_max,
+        min_real=min_real,
+        max_starlike_ratio=max_ratio,
+        boundary_min=bnd_min,
+        boundary_argmin=t_min,
         boundary_at_0=float(at0),
         boundary_at_pi=float(atpi),
         checks=checks,
@@ -450,52 +486,29 @@ class H2Terms(NamedTuple):
     D_mag: Fraction
 
 
+def _h2_slice(q) -> tuple:
+    """(A, B, C, |D|, g1) at p1 = q, exact; ``q`` is a Fraction, or
+    ``BiPoly.var_p()`` for the same formulas as polynomials in p1."""
+    s = 4 - q * q
+    return (q ** 4 * Fraction(-19, 3072),
+            q * q * s * Fraction(1, 384),
+            (q ** 4 + 8 * q * q - 48) * Fraction(1, 192),
+            q * s * Fraction(1, 24),
+            (768 - 96 * q * q - 5 * q ** 4) * Fraction(1, 3072))
+
+
 def h2_terms(p1) -> H2Terms:
     """Exact slice coefficients of H2(2) at fixed p1 in [0, 2]."""
     q = as_fraction(p1)
     if not 0 <= q <= 2:
         raise ValueError(f"p1 must lie in [0, 2], got {p1}")
-    s = 4 - q * q
-    return H2Terms(
-        A=Fraction(-19) * q ** 4 / 3072,
-        B=q * q * s / 384,
-        C=(q ** 4 + 8 * q * q - 48) / Fraction(192),
-        D_mag=q * s / 24,
-    )
-
-
-def h2_normalized(p1):
-    """(A1, B1, C1) = (A, B, C)/|D| for 0 < p1 < 2 (normalization needs D != 0)."""
-    q = as_fraction(p1)
-    if not 0 < q < 2:
-        raise ValueError(f"normalized coefficients need 0 < p1 < 2, got {p1}")
-    a1 = Fraction(-19) * q ** 3 / (128 * (4 - q * q))
-    b1 = q / 16
-    c1 = -(12 + q * q) / (8 * q)
-    return a1, b1, c1
+    return H2Terms(*_h2_slice(q)[:4])
 
 
 def h2_envelope(p1) -> Fraction:
-    """Sharp upper envelope of |H2(2)| at fixed p1, exact.
-
-    Interior values follow g1(p1) = (768 - 96 p1^2 - 5 p1^4)/3072; the
-    endpoints are handled by their own degenerate maximizations (gamma
-    alone at p1 = 0, the constant sequence at p1 = 2) and happen to agree
-    with the same formula.
-    """
+    """Sharp upper envelope g1(p1) = (768 - 96 p1^2 - 5 p1^4)/3072 of
+    |H2(2)| at fixed p1, exact: 1/4 at p1 = 0 and 19/192 at p1 = 2."""
     q = as_fraction(p1)
     if not 0 <= q <= 2:
         raise ValueError(f"p1 must lie in [0, 2], got {p1}")
-    if q == 0:
-        return Fraction(1, 4)
-    if q == 2:
-        return Fraction(19, 192)
-    return (768 - 96 * q * q - 5 * q ** 4) / Fraction(3072)
-
-
-def h2_envelope_deriv(p1) -> Fraction:
-    """g1'(p1) = (-192 p1 - 20 p1^3)/3072, strictly negative on (0, 2)."""
-    q = as_fraction(p1)
-    if not 0 <= q <= 2:
-        raise ValueError(f"p1 must lie in [0, 2], got {p1}")
-    return (-192 * q - 20 * q ** 3) / Fraction(3072)
+    return _h2_slice(q)[4]

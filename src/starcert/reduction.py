@@ -86,32 +86,12 @@ class H3Reduction:
     gap: BiPoly         # MAJORANT_TARGET - endpoint_y1
 
     def majorant(self, p, x, y):
-        """H(p, x, y); exact for rational arguments."""
-        return self.grouped(self.groups(p, x), y, y)
-
-    def majorant_capped(self, p, x, y):
-        """H1(p, x, y): the y-linear group frozen at its maximum y = 1.
-
-        Affine in y^2, so over y in [0, 1] its maximum is attained at
-        y = 1 (endpoint_y1) or y = 0 (endpoint_y0).
-        """
-        return self.grouped(self.groups(p, x), y, 1)
-
-    def groups(self, p, x) -> tuple:
-        """The values of (base, ycoef, y2coef, comp) at (p, x).
-
-        Evaluate once per (p, x) and pass to :meth:`grouped` for each y.
-        """
-        return (self.base.evaluate(p, x), self.ycoef.evaluate(p, x),
-                self.y2coef.evaluate(p, x), self.comp.evaluate(p, x))
-
-    @staticmethod
-    def grouped(groups: tuple, y, y_linear):
-        """The four-group sum of :meth:`groups` values, with ``y_linear``
-        as the factor on ycoef (``y`` gives H, ``1`` gives H1)."""
-        base, ycoef, y2coef, comp = groups
+        """H(p, x, y); exact for rational arguments, float Horner (numpy
+        arrays included) otherwise."""
         y2 = y * y
-        return base + ycoef * y_linear + y2coef * y2 + comp * (1 - y2)
+        return (self.base.evaluate(p, x) + self.ycoef.evaluate(p, x) * y
+                + self.y2coef.evaluate(p, x) * y2
+                + self.comp.evaluate(p, x) * (1 - y2))
 
 
 def build_h3_reduction() -> H3Reduction:
@@ -147,8 +127,6 @@ def build_h3_reduction() -> H3Reduction:
     endpoint_y0 = (base + ycoef + comp).trim()
     gap = (MAJORANT_TARGET - endpoint_y1).trim()
 
-    if endpoint_y1.bidegree != (6, 4) or endpoint_y0.bidegree != (6, 4):
-        raise RuntimeError("unexpected bidegree in expanded endpoint polynomials")
     if gap != _table_poly(_GAP_TABLE, by_x=True):
         raise RuntimeError("expansion of 1024 - endpoint_y1 disagrees with the "
                            "recorded table; refusing to certify from it")

@@ -16,13 +16,13 @@ max_a4       numeric maximization of |a4| over the Schwarz parametrization
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bernstein import (UNIT_BOX, CornerRule, PositivityCertificate,
-                        bound_above, certify_positive, check_certificate)
-from .gft import (h2_envelope, h2_envelope_deriv, h2_normalized, h2_terms,
+from .bernstein import (UNIT_BOX, BiPoly, Box, CornerRule,
+                        PositivityCertificate, bound_above, certify_positive,
+                        check_certificate, enclosure, to_bernstein)
+from .gft import (_BLOCK_SAMPLES, _h2_slice, _within_budget, h2_envelope,
                   h3_schwarz_poly, hankel2, schwarz_to_coeffs)
 from .rationals import format_rational
 from .reduction import HANKEL3_SCALE, MAJORANT_TARGET, build_h3_reduction
@@ -31,11 +31,6 @@ __all__ = ["VerificationReport", "verify_h2", "verify_h3",
            "A4Search", "max_a4", "a4_family"]
 
 DEFAULT_SEED = 20240605
-
-# The float oracles evaluate their grids in blocks of about this many
-# samples, so each complex temporary stays near 256 KB and in cache; the
-# formulas are elementwise, so blocking changes no value.
-_BLOCK_SAMPLES = 1 << 14
 
 
 @dataclass
@@ -71,12 +66,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _random_fraction(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    den = rng.randint(40, 400)
-    num = rng.randint(1, den - 1)
-    return lo + (hi - lo) * Fraction(num, den)
-
-
 # ---------------------------------------------------------------------------
 # |H2(2)| <= 1/4
 # ---------------------------------------------------------------------------
@@ -89,19 +78,41 @@ def _polar_grid(n_radii: int, n_angles: int):
     return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
 
 
-def verify_h2(grid: int = 32, seed: int = DEFAULT_SEED) -> VerificationReport:
+def _nonnegative(poly: BiPoly) -> bool:
+    """f >= 0 for p1 in [0, 2]: its Bernstein coefficients enclose its range."""
+    return enclosure(to_bernstein(poly, Box(0, 2, 0, 1)))[0] >= 0
+
+
+def _positive_inside(poly: BiPoly) -> bool:
+    """f > 0 for p1 in (0, 2): Bernstein coefficients all >= 0 and one > 0,
+    as every Bernstein basis polynomial is positive inside."""
+    lo, hi = enclosure(to_bernstein(poly, Box(0, 2, 0, 1)))
+    return lo >= 0 < hi
+
+
+def _h2_samples(grid: int) -> int:
+    """Samples of the verify_h2 oracle: p1 x gamma x eta grids."""
+    return grid * (grid // 3 + 1) * grid * 3 * 16
+
+
+def verify_h2(grid: int = 32) -> VerificationReport:
     """Certify |H2(2)| <= 1/4 on the class and cross-check numerically.
 
-    Certified chain (all exact rational):
+    Certified chain, exact for all p1 in [0, 2] at once: the slice
+    coefficients of H2(2) = A + B gamma + C gamma^2 + D (1 - |gamma|^2) and
+    the envelope g1 are polynomials in p1 (:func:`starcert.gft.h2_terms`),
+    and each sign is read off their power coefficients or their Bernstein
+    coefficients over [0, 2]:
 
-    * envelope identity |A| + |B| + |C| = g1(p1) at 50 random rational
-      p1 in (0, 2), where (A, B, C, |D|) are the slice coefficients of
-      H2(2) = A + B gamma + C gamma^2 + D (1 - |gamma|^2);
+    * envelope identity |A| + |B| + |C| = g1(p1): -A, B, -C >= 0 and
+      -A + B - C = g1 as polynomials;
     * the piecewise-max case conditions A1 C1 > 0, |C1| >= 1 and
-      |B1| >= 2 (1 - |C1|) that make the slice maximum equal |D| times
-      (|A1| + |B1| + |C1|);
-    * g1 strictly decreasing (g1' < 0 on (0, 2)), so the supremum sits at
-      p1 = 0 with value 1/4; the endpoint slices give 1/4 and 19/192;
+      |B1| >= 2 (1 - |C1|), for (A1, B1, C1) = (A, B, C)/|D|, that make the
+      slice maximum |D| (|A1| + |B1| + |C1|): -A, -C, |D| > 0 on (0, 2) and
+      -C - |D| >= 0 (then B >= 0 >= 2 (|D| + C) gives the third);
+    * g1 strictly decreasing, as no power coefficient past the constant is
+      positive and one is negative: the supremum sits at p1 = 0 with value
+      1/4; the endpoint slices give 1/4 and 19/192;
     * sharpness: the member driven by w(z) = z^2 has H2(2) = -1/4.
 
     Float oracle: a >= 10^5-point scan of |A + B gamma + C gamma^2 +
@@ -110,32 +121,22 @@ def verify_h2(grid: int = 32, seed: int = DEFAULT_SEED) -> VerificationReport:
     """
     if grid < 32:
         raise ValueError("grid must be >= 32")
+    _within_budget(_h2_samples(grid))
     import numpy as np
-    rng = random.Random(seed)
     details: dict = {}
     failure = None
 
-    # --- exact envelope identity and case conditions -------------------
-    identity_ok = True
-    cases_ok = True
-    for _ in range(50):
-        p1 = _random_fraction(rng, Fraction(0), Fraction(2))
-        A, B, C, D_mag = h2_terms(p1)
-        a1, b1, c1 = h2_normalized(p1)
-        lhs = abs(A) + abs(B) + abs(C)
-        if lhs != h2_envelope(p1) or lhs != D_mag * (abs(a1) + abs(b1) + abs(c1)):
-            identity_ok = False
-        if not (a1 * c1 > 0 and abs(c1) >= 1 and abs(b1) >= 2 * (1 - abs(c1))):
-            cases_ok = False
-    details["envelope_identity_exact_50"] = identity_ok
+    # --- exact sign facts on the slice polynomials -----------------------
+    A, B, C, D, g1 = _h2_slice(BiPoly.var_p())
+    identity_ok = all(map(_nonnegative, (-A, B, -C))) and -A + B - C == g1
+    cases_ok = all(map(_positive_inside, (-A, -C, D))) and _nonnegative(-C - D)
+    details["envelope_identity_exact"] = identity_ok
     details["case_conditions_hold"] = cases_ok
 
     # --- monotone decrease and endpoints --------------------------------
-    grid_vals = [h2_envelope(Fraction(i, 128)) for i in range(0, 257)]
-    decreasing = all(grid_vals[i] > grid_vals[i + 1] for i in range(256))
-    deriv_neg = all(h2_envelope_deriv(_random_fraction(rng, Fraction(0), Fraction(2))) < 0
-                    for _ in range(50))
-    details["envelope_strictly_decreasing"] = decreasing and deriv_neg
+    slope = [c for i, _, c in g1.terms() if i > 0]
+    decreasing = bool(slope) and all(c < 0 for c in slope)
+    details["envelope_strictly_decreasing"] = decreasing
     endpoints_ok = (h2_envelope(0) == Fraction(1, 4)
                     and h2_envelope(2) == Fraction(19, 192))
     details["endpoint_values"] = "1/4 and 19/192" if endpoints_ok else "WRONG"
@@ -145,9 +146,7 @@ def verify_h2(grid: int = 32, seed: int = DEFAULT_SEED) -> VerificationReport:
     details["sharpness_w_z2"] = format_rational(witness)
     sharp_ok = witness == Fraction(-1, 4)
 
-    exact_ok = identity_ok and cases_ok and decreasing and deriv_neg \
-        and endpoints_ok and sharp_ok
-    if not exact_ok:
+    if not (identity_ok and cases_ok and decreasing and endpoints_ok and sharp_ok):
         failure = "oracle"
 
     # --- float oracle ----------------------------------------------------
@@ -220,8 +219,12 @@ def _domination_samples(seed: int):
             u[:, 3] * np.exp(1j * u[:, 4]), u[:, 5] * np.exp(1j * u[:, 6]))
 
 
-def verify_h3(max_depth: int = 3, grid: int = 12,
-              seed: int = DEFAULT_SEED) -> VerificationReport:
+def _h3_samples(grid: int) -> int:
+    """Samples of the verify_h3 grid oracle: c1 x gamma x eta x rho grids."""
+    return (grid + 1) * (grid // 2 + 1) * 2 * grid * 3 * grid * 2 * 8
+
+
+def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
     """Certify |H3(1)| <= 1/9 and cross-check numerically.
 
     Certified chain:
@@ -234,19 +237,24 @@ def verify_h3(max_depth: int = 3, grid: int = 12,
       the certificate passes independent re-validation;
     * the max Bernstein coefficient of endpoint_y0 on [0,1]^2 (910) also
       sits below the target 1024;
-    * exact spot checks on rational grids: the y-coefficient group of H
-      is nonnegative and H1 is bounded by its two y-endpoints;
+    * H <= H1 <= max(endpoint_y1, endpoint_y0) on the whole cube:
+      H1 - H = ycoef (1 - y) and ycoef >= 0 (smallest Bernstein
+      coefficient 0), and the identities endpoint_y1 = base + ycoef +
+      y2coef, endpoint_y0 = base + ycoef + comp make H1 a convex
+      combination y^2 endpoint_y1 + (1 - y^2) endpoint_y0;
     * sharpness: the Schwarz data (0, 0, 1, 0) (i.e. w(z) = z^3) attains
       the scaled value -1024 exactly.
 
     Float oracle: dense sampling of |9216 H3| through the disk
     parametrization stays below 1024 (1 + 1e-9), and on 300 random
-    samples the majorant H dominates the sampled value.
+    samples (seeded with DEFAULT_SEED) the majorant H dominates the
+    sampled value.
     """
     if max_depth < 3:
         raise ValueError("max_depth must be >= 3 (the corner box appears at depth 3)")
     if grid < 4:  # the smallest grid whose oracle reaches 10^4 samples
         raise ValueError("grid must be >= 4")
+    _within_budget(_h3_samples(grid))
     import numpy as np
     red = build_h3_reduction()
     details: dict = {}
@@ -267,19 +275,11 @@ def verify_h3(max_depth: int = 3, grid: int = 12,
     if y0_max > MAJORANT_TARGET:
         failure = failure or "certification"
 
-    # --- exact structural spot checks ---------------------------------
-    ninths = [Fraction(i, 8) for i in range(9)]
-    ycoef_ok = all(red.ycoef.evaluate(p, x) >= 0 for p in ninths for x in ninths)
-    endpoint_ok = True
-    for p in ninths[::2]:
-        for x in ninths[::2]:
-            hi = max(red.endpoint_y1.evaluate(p, x), red.endpoint_y0.evaluate(p, x))
-            groups = red.groups(p, x)
-            for y in ninths[::2]:
-                capped = red.grouped(groups, y, 1)
-                if capped > hi or red.grouped(groups, y, y) > capped:
-                    endpoint_ok = False
-    details["ycoef_nonnegative_grid"] = ycoef_ok
+    # --- exact steps H <= H1 <= max(endpoint_y1, endpoint_y0) ----------
+    ycoef_ok = enclosure(to_bernstein(red.ycoef, UNIT_BOX))[0] >= 0
+    endpoint_ok = (red.endpoint_y1 == red.base + red.ycoef + red.y2coef
+                   and red.endpoint_y0 == red.base + red.ycoef + red.comp)
+    details["ycoef_nonnegative"] = ycoef_ok
     details["capped_between_endpoints"] = endpoint_ok
     if not (ycoef_ok and endpoint_ok):
         failure = failure or "certification"
@@ -311,7 +311,7 @@ def verify_h3(max_depth: int = 3, grid: int = 12,
         failure = failure or "oracle"
 
     # majorant domination on random samples
-    c1, g, e, r = _domination_samples(seed)
+    c1, g, e, r = _domination_samples(DEFAULT_SEED)
     val = _h3_param_abs(c1, g, e, r)
     maj = red.majorant(c1, np.abs(g), np.abs(e))
     dominated = not bool(np.any(val > maj + 1e-9))
@@ -384,6 +384,11 @@ def _a4_coarse(grid: int) -> tuple[tuple, int]:
     return best, samples
 
 
+def _a4_samples(grid: int, refine: int) -> int:
+    """Samples of max_a4: coarse c1 x gamma x eta scan, then refinements."""
+    return (grid + 1) * (grid // 3 + 1) * 2 * grid * 3 * 8 + refine * 9 * 81 * 25
+
+
 def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
     """Maximize |a4| over the Schwarz coefficient body.
 
@@ -397,6 +402,7 @@ def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
         raise ValueError("grid must be >= 16")
     if refine < 1:
         raise ValueError("refine must be >= 1")
+    _within_budget(_a4_samples(grid, refine))
     import numpy as np
     (val, c1b, gb, eb), samples = _a4_coarse(grid)
 

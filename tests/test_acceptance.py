@@ -203,7 +203,7 @@ def test_c08_h2_chain():
     report = sc.verify_h2(grid=32)
     assert report.verified and report.bound == F(1, 4)
     d = report.details
-    assert d["envelope_identity_exact_50"]
+    assert d["envelope_identity_exact"]
     assert d["case_conditions_hold"]
     assert d["oracle_samples"] >= 10 ** 5
     assert d["oracle_max"] <= 0.25 + 1e-9

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, artifacts, exit codes."""
 import json
+import tracemalloc
 
 import pytest
 
@@ -189,7 +190,9 @@ def test_bernstein_refuses_flags_of_the_other_mode(tmp_path, capsys,
     assert not (tmp_path / "x.json").exists()
 
 
-def test_usage_errors_exit_64(capsys):
+def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.poly").write_text(POLY_TEXT)
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 64
@@ -203,6 +206,18 @@ def test_usage_errors_exit_64(capsys):
         main(["bernstein", "--poly", "f.poly", "--bound-above",
               "--box", "0", "1e-1", "0", "1"])
     assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-h2", "--seed", "1"])  # the exact H2 chain draws nothing
+    assert exc.value.code == 64
+    capsys.readouterr()
+    # reasons name the input as the user wrote it, never Python internals
+    assert run(capsys, "bernstein", "--poly", "f.poly", "--bound-above",
+               "--box", "0", "0", "0", "1") == (
+        64, "", "starcert bernstein: degenerate box [0,0]x[0,1]\n")
+    for spec in ("z^", "z^1.5"):
+        assert run(capsys, "expand", "--schwarz", spec) == (
+            64, "", f"starcert expand: --schwarz wants 'z', 'z^k' or a file; "
+                    f"got '{spec}'\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -231,3 +246,24 @@ def test_certify_h3_rejects_small_grid(capsys, grid):
 def test_certify_h3_smallest_grid(capsys):
     code, out, _ = run(capsys, "certify-h3", "--grid", "4")
     assert code == 0 and "oracle_samples: 23040" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-h2", "--grid", "100000"],
+    ["certify-h3", "--grid", "100000"],
+    ["max-a4", "--grid", "100000"],
+    ["max-a4", "--refine", "10000000"],
+    ["scan-phi", "--grid", "100000"],
+])
+def test_huge_grid_exits_64_before_allocating(capsys, argv):
+    # max-a4 --grid 100000 once asked for 33,334 x 200,000 complex values
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (64, "")
+    assert err.startswith(f"starcert {argv[0]}: the grid asks for ")
+    assert err.endswith(" samples, more than the budget of 1000000000\n")
+    assert peak < 2 ** 20

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from starcert.gft import (JanowskiParams, caratheodory_from_schwarz,
-                          caratheodory_to_coeffs, h2_envelope,
-                          h2_envelope_deriv, h2_normalized, h2_terms,
+                          caratheodory_to_coeffs, h2_envelope, h2_terms,
                           h3_schwarz_poly, hankel2, hankel3, janowski_check,
                           lz_parametrize, ma_minda_scan, schwarz_parametrize,
                           schwarz_to_coeffs, y_max, y_max_detail)
@@ -200,6 +199,30 @@ def test_ma_minda_scan_passes():
                abs(rep.boundary_argmin - math.pi)) < 1e-6
 
 
+def ref_phi_scan(grid, npts, radius_cap=1 - 1e-6):
+    """The ma_minda_scan statistics evaluated over whole arrays at once."""
+    radii = np.linspace(0.0, radius_cap, grid)
+    angles = np.linspace(0.0, 2 * math.pi, 4 * grid, endpoint=False)
+    z = radii[:, None] * np.exp(1j * angles)[None, :]
+    phi = (1 + z / 2) ** 2
+    mod = np.abs(phi)
+    t = np.linspace(0.0, 2 * math.pi, npts, endpoint=False)
+    bnd = np.abs((1 + np.exp(1j * t) / 2) ** 2 - 1.25) ** 2
+    k = int(np.argmin(bnd))
+    return (float(mod.min()), float(mod.max()), float(phi.real.min()),
+            float(np.abs(z / (8 + 3 * z)).max()), float(bnd.min()), float(t[k]))
+
+
+@pytest.mark.parametrize("grid, points", [(8, None), (64, None), (130, None),
+                                          (100, 40001)])
+def test_blocked_scan_matches_whole_array_reference(grid, points):
+    # 130 and 100 span several blocks of the disk grid and of the circle
+    rep = ma_minda_scan(grid, points)
+    npts = grid * grid if points is None else points + points % 2
+    assert (rep.min_modulus, rep.max_modulus, rep.min_real, rep.max_starlike_ratio,
+            rep.boundary_min, rep.boundary_argmin) == ref_phi_scan(grid, npts)
+
+
 def test_scan_rejects_tiny_grid():
     with pytest.raises(ValueError):
         ma_minda_scan(grid_density=4)
@@ -228,14 +251,12 @@ def test_h2_envelope_matches_terms():
     for _ in range(30):
         p1 = F(rng.randint(1, 199), 100)
         A, B, C, D = h2_terms(p1)
-        a1, b1, c1 = h2_normalized(p1)
         assert abs(A) + abs(B) + abs(C) == h2_envelope(p1)
-        assert D * (abs(a1) + abs(b1) + abs(c1)) == h2_envelope(p1)
 
 
 def test_h2_envelope_boundaries_and_slope():
     assert h2_envelope(0) == F(1, 4)
     assert h2_envelope(2) == F(19, 192)
-    assert h2_envelope_deriv(F(1, 2)) < 0
+    assert h2_envelope(F(1, 2)) > h2_envelope(1) > h2_envelope(F(3, 2))
     with pytest.raises(ValueError):
         h2_envelope(F(5, 2))

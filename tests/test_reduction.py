@@ -2,6 +2,7 @@
 import random
 from fractions import Fraction
 
+from starcert.bernstein import UNIT_BOX, enclosure, to_bernstein
 from starcert.gft import h3_schwarz_poly, schwarz_parametrize
 from starcert.reduction import HANKEL3_SCALE, MAJORANT_TARGET
 
@@ -21,31 +22,37 @@ def test_scale_normalization():
 
 
 def test_endpoints_consistent_with_groups(reduction):
+    r = reduction
+    assert r.endpoint_y1 == r.base + r.ycoef + r.y2coef
+    assert r.endpoint_y0 == r.base + r.ycoef + r.comp
+    assert r.gap == MAJORANT_TARGET - r.endpoint_y1
     rng = random.Random(19)
     for _ in range(40):
         p = F(rng.randint(0, 16), 16)
         x = F(rng.randint(0, 16), 16)
-        y1 = reduction.majorant(p, x, 1)
-        assert y1 == reduction.endpoint_y1.evaluate(p, x)
-        assert reduction.majorant_capped(p, x, 0) == \
-            reduction.endpoint_y0.evaluate(p, x)
-        assert reduction.gap.evaluate(p, x) == MAJORANT_TARGET - y1
+        assert r.majorant(p, x, 1) == r.endpoint_y1.evaluate(p, x)
+
+
+def capped(r, p, x, y):
+    """H1 = y^2 endpoint_y1 + (1 - y^2) endpoint_y0, by the identities."""
+    return y * y * r.endpoint_y1.evaluate(p, x) + (1 - y * y) * r.endpoint_y0.evaluate(p, x)
 
 
 def test_capped_majorant_freezes_linear_term(reduction):
-    """The capped form replaces y by 1 in the linear group only, so it
-    dominates the plain majorant for y in [0, 1]."""
+    """The capped form H1 replaces y by 1 in the linear group only, so
+    H1 - H = ycoef (1 - y), and ycoef >= 0 on [0,1]^2 by its Bernstein
+    coefficients: H1 dominates H on the whole cube."""
+    assert enclosure(to_bernstein(reduction.ycoef, UNIT_BOX))[0] == 0
     rng = random.Random(21)
     for _ in range(60):
-        p = F(rng.randint(0, 12), 12)
-        x = F(rng.randint(0, 12), 12)
-        y = F(rng.randint(0, 12), 12)
-        assert reduction.majorant(p, x, y) <= reduction.majorant_capped(p, x, y)
+        p, x, y = (F(rng.randint(0, 12), 12) for _ in range(3))
+        assert capped(reduction, p, x, y) - reduction.majorant(p, x, y) == \
+            reduction.ycoef.evaluate(p, x) * (1 - y)
 
 
 def test_capped_is_bounded_by_its_endpoints(reduction):
-    """Affine-in-y^2 form: the capped majorant is below the larger of its
-    values at y = 0 and y = 1."""
+    """Affine in y^2: H1 is a convex combination of its values at y = 1
+    and y = 0, so below the larger one."""
     rng = random.Random(27)
     for _ in range(60):
         p = F(rng.randint(0, 10), 10)
@@ -53,7 +60,7 @@ def test_capped_is_bounded_by_its_endpoints(reduction):
         hi = max(reduction.endpoint_y1.evaluate(p, x),
                  reduction.endpoint_y0.evaluate(p, x))
         for num in range(0, 11, 2):
-            assert reduction.majorant_capped(p, x, F(num, 10)) <= hi
+            assert capped(reduction, p, x, F(num, 10)) <= hi
 
 
 def test_ycoef_group_nonnegative(reduction):

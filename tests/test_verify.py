@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starcert import verify
+from starcert import gft, verify
+from starcert.bernstein import BiPoly
 from starcert.cli import main
 from starcert.verify import (DEFAULT_SEED, VerificationReport, a4_family,
                              max_a4, verify_h2, verify_h3)
@@ -32,7 +33,7 @@ def test_verify_h2(h2_report):
     d = h2_report.details
     assert d["oracle_samples"] >= 10 ** 5
     assert d["oracle_max"] <= 0.25 + 1e-9
-    assert d["envelope_identity_exact_50"] and d["case_conditions_hold"]
+    assert d["envelope_identity_exact"] and d["case_conditions_hold"]
     assert d["sharpness_w_z2"] == "-1/4"
 
 
@@ -51,6 +52,7 @@ def test_verify_h3_rejects_small_grid(grid):
 def test_verify_h3_smallest_grid():
     report = verify_h3(grid=4)
     assert report.verified and report.details["oracle_samples"] == 23040
+    assert verify._h3_samples(4) == 23040
 
 
 def test_verify_h3(h3_report):
@@ -62,6 +64,7 @@ def test_verify_h3(h3_report):
     assert d["endpoint_y0_bernstein_max"] == "910"
     assert d["oracle_max_scaled"] <= 1024 * (1 + 1e-9)
     assert d["sharpness_w_z3_scaled"] == "-1024"
+    assert d["ycoef_nonnegative"] and d["capped_between_endpoints"]
 
 
 def test_verify_h3_certificate_attached(h3_report):
@@ -109,6 +112,7 @@ def test_max_a4_search():
     assert res.family_t == pytest.approx((8 / 31) ** 0.5, abs=1e-7)
     assert abs(res.gamma) <= 1 + 1e-12 and abs(res.eta) <= 1 + 1e-12
     assert res.samples > 10 ** 5
+    assert res.samples == verify._a4_samples(24, 40)
 
 
 def test_max_a4_validates_arguments():
@@ -188,10 +192,15 @@ def test_domination_samples_match_sequential_draws():
 # ---------------------------------------------------------------------------
 
 def test_lowered_majorant_fails_domination(monkeypatch, reduction, capsys):
-    # the smallest sampled margin H - |9216 H3| is about 0.13
-    lowered = dataclasses.replace(reduction, base=reduction.base - 1)
+    # the smallest sampled margin H - |9216 H3| is about 0.13; the endpoints
+    # and the gap move with base, so every exact identity still holds and
+    # only the domination samples see the fault
+    lowered = dataclasses.replace(
+        reduction, base=reduction.base - 1, endpoint_y1=reduction.endpoint_y1 - 1,
+        endpoint_y0=reduction.endpoint_y0 - 1, gap=reduction.gap + 1)
     monkeypatch.setattr(verify, "build_h3_reduction", lambda: lowered)
     report = verify_h3(grid=4)
+    assert report.details["capped_between_endpoints"] is True
     assert report.details["majorant_dominates_samples"] is False
     assert report.status == "failed" and report.details["failure"] == "oracle"
     assert main(["certify-h3", "--grid", "4"]) == 3
@@ -208,6 +217,66 @@ def test_corrupted_group_fails_capped_between_endpoints(monkeypatch, reduction,
     report = verify_h3(grid=4)
     assert report.details["capped_between_endpoints"] is False
     assert report.details["failure"] == "certification"
+
+
+def test_capped_step_needs_ycoef_nonnegative(monkeypatch, reduction):
+    # ycoef - 1 with matching endpoints keeps both identities; only the
+    # Bernstein enclosure of ycoef (smallest coefficient -1) catches it
+    shifted = dataclasses.replace(
+        reduction, ycoef=reduction.ycoef - 1, base=reduction.base + 1)
+    monkeypatch.setattr(verify, "build_h3_reduction", lambda: shifted)
+    report = verify_h3(grid=4)
+    assert report.details["capped_between_endpoints"] is True
+    assert report.details["ycoef_nonnegative"] is False
+    assert report.details["failure"] == "certification"
+
+
+# ---------------------------------------------------------------------------
+# the H2 sign proofs fail on broken slice polynomials
+# ---------------------------------------------------------------------------
+
+def _slice_with(change):
+    real = verify._h2_slice
+    return lambda q: change(*real(q))
+
+
+@pytest.mark.parametrize("change, identity, cases", [
+    # C's sign flips: -C >= 0 and -A + B - C = g1 both fail
+    (lambda A, B, C, D, g1: (A, B, -C, D, g1), False, False),
+    # g1 off by a constant: the identity fails, the signs still hold
+    (lambda A, B, C, D, g1: (A, B, C, D, g1 + F(1, 1000)), False, True),
+    # D vanishes: the normalization by |D| and |C1| >= 1 fail
+    (lambda A, B, C, D, g1: (A, B, C, D * 0, g1), True, False),
+])
+def test_broken_slice_fails_verify_h2(monkeypatch, capsys, change, identity, cases):
+    monkeypatch.setattr(verify, "_h2_slice", _slice_with(change))
+    report = verify_h2()
+    d = report.details
+    assert (d["envelope_identity_exact"], d["case_conditions_hold"]) == (identity, cases)
+    assert report.status == "failed" and d["failure"] == "oracle"
+    assert main(["verify-h2"]) == 3
+    assert "status: failed" in capsys.readouterr().out
+
+
+def test_h2_envelope_must_decrease(monkeypatch):
+    # g1 + p1^3/1000 - with -A + B - C moved to match - has a positive slope term
+    bump = BiPoly.var_p() ** 3 * F(1, 1000)
+    monkeypatch.setattr(verify, "_h2_slice", _slice_with(
+        lambda A, B, C, D, g1: (A, B + bump, C, D, g1 + bump)))
+    d = verify_h2().details
+    assert d["envelope_identity_exact"] and d["case_conditions_hold"]
+    assert d["envelope_strictly_decreasing"] is False and d["failure"] == "oracle"
+
+
+# ---------------------------------------------------------------------------
+# the sample budget
+# ---------------------------------------------------------------------------
+
+def test_sample_counts_match_the_oracles(h2_report, h3_report):
+    assert verify._h2_samples(32) == h2_report.details["oracle_samples"] == 540672
+    assert verify._h3_samples(12) == h3_report.details["oracle_samples"] == 1257984
+    assert verify._a4_samples(48, 60) == max_a4().samples == 3012732
+    assert gft._phi_scan_samples(64, 64 * 64) == 64 * 256 + 4096 == 20480
 
 
 # ---------------------------------------------------------------------------
