@@ -24,11 +24,13 @@ basis, which is what :func:`check_certificate` does.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from math import comb, lcm
 from operator import mul
+from sys import getsizeof
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .rationals import as_fraction, format_rational, parse_rational
@@ -379,8 +381,8 @@ class BernsteinPatch:
 
 def _transform(rows: Sequence[Sequence[int]], mp, mx) -> list:
     """The integer matrix product mp * rows * mx^T (one map per axis)."""
-    y = [[sum(map(mul, r, c)) for c in mx] for r in rows]
-    return [[sum(map(mul, r, c)) for c in zip(*y)] for r in mp]
+    y = list(zip(*[[sum(map(mul, r, c)) for c in mx] for r in rows]))
+    return [[sum(map(mul, r, c)) for c in y] for r in mp]
 
 
 def _shift(m: int, a: Fraction, s: Fraction) -> tuple[list, int]:
@@ -408,6 +410,73 @@ def _bernstein_weights(m: int) -> tuple[tuple, int]:
                  for j in range(m + 1)), big
 
 
+# The memo keeps at most this many bytes of maps, whatever the degree.
+_AXIS_CACHE_BYTES = 1 << 20
+
+
+class _AxisMaps:
+    """Bounded memo of the fused per-axis maps of :func:`to_bernstein`.
+
+    The gain rests on boxes that repeat: every node box of a certificate
+    is a dyadic cell of its root box at one degree, so re-checking one
+    certificate, or many over one root box, meets the same few intervals
+    again and again.  The retained size, counted by :func:`_retained_size`,
+    never exceeds ``_AXIS_CACHE_BYTES``, whatever the degree or the size of
+    the interval's integers: the oldest entries go first, and a map larger
+    than the limit alone is returned but not kept.  Only the memo's dict
+    table (about 100 bytes an entry) comes on top.
+    """
+
+    def __init__(self):
+        self.bytes = 0
+        self._maps: dict = {}           # key -> (map, scale, size)
+        self._lock = threading.Lock()   # guards inserts and evictions
+
+    def get(self, key):
+        return self._maps.get(key)
+
+    def put(self, key, fused: tuple, scale: int) -> tuple:
+        entry = (fused, scale, _retained_size(key, fused, scale))
+        limit = _AXIS_CACHE_BYTES
+        if entry[2] <= limit:
+            with self._lock:
+                if key not in self._maps:
+                    while self.bytes + entry[2] > limit:
+                        self.bytes -= self._maps.pop(next(iter(self._maps)))[2]
+                    self._maps[key] = entry
+                    self.bytes += entry[2]
+        return entry
+
+
+def _retained_size(key: tuple, fused: tuple, scale: int) -> int:
+    """Bytes a memo entry holds, as sys.getsizeof counts them: the key and
+    its integers, the map's tuples and integers, the scale, and the
+    (map, scale, size) entry tuple with its size integer."""
+    size = getsizeof
+    return (size(key) + sum(map(size, key)) + size(fused) + size(scale)
+            + sum(size(row) + sum(map(size, row)) for row in fused)
+            + size((fused, scale, 0)) + size(1 << 30))
+
+
+_AXIS_MAPS = _AxisMaps()
+
+
+def _axis_map(m: int, lo: Fraction, hi: Fraction) -> tuple[tuple, int]:
+    """Integer matrix W S and scale L q^m: (W S)/(L q^m) maps the power
+    coefficients of a degree-m polynomial in t to its Bernstein
+    coefficients over [lo, hi], with S, q^m from :func:`_shift` and W, L
+    from :func:`_bernstein_weights`.  Memoised in ``_AXIS_MAPS``."""
+    key = (m, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    entry = _AXIS_MAPS.get(key)
+    if entry is None:
+        s, q = _shift(m, lo, hi - lo)
+        w, big = _bernstein_weights(m)
+        cols = list(zip(*s))
+        fused = tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in w)
+        entry = _AXIS_MAPS.put(key, fused, big * q)
+    return entry[0], entry[1]
+
+
 def to_bernstein(poly: BiPoly, box: Box,
                  degree: tuple[int, int] | None = None) -> BernsteinPatch:
     """Bernstein coefficients of ``poly`` over ``box``, exactly.
@@ -428,12 +497,10 @@ def to_bernstein(poly: BiPoly, box: Box,
             raise ValueError(f"cannot represent bidegree ({m0},{n0}) at degree ({m},{n})")
     ints, den = poly._integers
     rows = [list(r) + [0] * (n - n0) for r in ints] + [[0] * (n + 1)] * (m - m0)
-    sp, dp = _shift(m, box.p_lo, box.p_width)
-    sx, dx = _shift(n, box.x_lo, box.x_width)
-    wp, lp = _bernstein_weights(m)
-    wx, lx = _bernstein_weights(n)
-    ints = _transform(_transform(rows, sp, sx), wp, wx)
-    return BernsteinPatch(box, ints, den * dp * dx * lp * lx)
+    # (W_p S_p) rows (W_x S_x)^T is W_p (S_p rows S_x^T) W_x^T, exactly
+    mp, dp = _axis_map(m, box.p_lo, box.p_hi)
+    mx, dx = _axis_map(n, box.x_lo, box.x_hi)
+    return BernsteinPatch(box, _transform(rows, mp, mx), den * dp * dx)
 
 
 def enclosure(patch: BernsteinPatch) -> tuple[Fraction, Fraction]:

@@ -3,17 +3,20 @@
 Exit codes
 ----------
 0   verified / computed successfully
-2   a certification or verdict failed (certificate incomplete, disk test
-    negative)
-3   an oracle violation (a numeric scan contradicted a certified bound)
+2   a certification or verdict failed (an exact proof step or certificate
+    failed, disk test negative)
+3   an oracle violation (a float scan contradicted a certified bound, and
+    every exact step held)
 64  usage errors (bad flags, unreadable input files, unwritable output paths)
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,13 +121,21 @@ def _cmd_expand(args) -> int:
     return 0
 
 
+def _report_exit(report) -> int:
+    """0 if verified; 2 if an exact step failed; 3 if only a float oracle did."""
+    if report.verified:
+        return 0
+    return CERT_EXIT if report.details.get("failure") == "certification" \
+        else ORACLE_EXIT
+
+
 def _cmd_verify_h2(args) -> int:
     from .verify import verify_h2
     report = verify_h2(grid=args.grid)
     print(report.render())
     if args.json:
         _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
-    return 0 if report.verified else ORACLE_EXIT
+    return _report_exit(report)
 
 
 def _cmd_certify_h3(args) -> int:
@@ -143,10 +154,7 @@ def _cmd_certify_h3(args) -> int:
               + ", ".join(f"{k}={v}" for k, v in sorted(by_status.items())))
     if args.json:
         _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
-    if report.verified:
-        return 0
-    return CERT_EXIT if report.details.get("failure") == "certification" \
-        else ORACLE_EXIT
+    return _report_exit(report)
 
 
 def _cmd_bernstein(args) -> int:
@@ -333,11 +341,29 @@ def _build_parser() -> _Parser:
     return p
 
 
+@contextmanager
+def _one_blas_thread():
+    """No subcommand calls BLAS, but OpenBLAS starts a worker pool when
+    numpy loads, and its idle workers spin.  OpenBLAS reads
+    OPENBLAS_NUM_THREADS once, as numpy loads, so the variable is set to 1
+    only while a subcommand may load numpy for the first time, and only if
+    the user has not set it; the environment is restored afterwards."""
+    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except ValueError as exc:
         print(f"starcert {args.command}: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -396,6 +396,12 @@ class PhiScanReport:
     passed: bool
 
 
+def _boundary_distance(t):
+    """|phi(e^it) - 5/4|^2 at the angles of the numpy array ``t``."""
+    import numpy as np
+    return np.abs((1 + np.exp(1j * t) / 2) ** 2 - 1.25) ** 2
+
+
 def _phi_scan_samples(grid_density: int, boundary_points: int) -> int:
     """Samples :func:`ma_minda_scan` takes: the polar grid, then the circle."""
     return grid_density * 4 * grid_density + boundary_points
@@ -415,6 +421,8 @@ def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
     if grid_density < 8:
         raise ValueError("grid_density must be >= 8")
     npts = boundary_points if boundary_points is not None else grid_density * grid_density
+    if npts < 1:
+        raise ValueError("boundary_points must be >= 1")
     if npts % 2:
         npts += 1  # keep t = pi on the grid
     _within_budget(_phi_scan_samples(grid_density, npts))
@@ -434,18 +442,20 @@ def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
         max_ratio = max(max_ratio, float(np.abs(z / (8 + 3 * z)).max()))
 
     # t_k = k * step, as np.linspace(0, 2 pi, npts, endpoint=False) has it;
-    # the strict < keeps the first minimum, the index np.argmin picks
+    # the strict < keeps the first minimum, the index np.argmin picks.
+    # t = 0 and t = pi are the samples k = 0 and k = npts / 2.
     step = 2 * math.pi / npts
     bnd_min, t_min = math.inf, 0.0
     for start in range(0, npts, _BLOCK_SAMPLES):
         t = np.arange(start, min(npts, start + _BLOCK_SAMPLES), dtype=float) * step
-        bnd = np.abs((1 + np.exp(1j * t) / 2) ** 2 - 1.25) ** 2
+        bnd = _boundary_distance(t)
         k = int(np.argmin(bnd))
         if float(bnd[k]) < bnd_min:
             bnd_min, t_min = float(bnd[k]), float(t[k])
-
-    at0 = abs((1 + 0.5) ** 2 - 1.25) ** 2
-    atpi = abs((1 - 0.5) ** 2 - 1.25) ** 2
+        if start == 0:
+            at0 = float(bnd[0])
+        if 0 <= npts // 2 - start < bnd.size:
+            atpi = float(bnd[npts // 2 - start])
 
     checks = {
         "modulus_above_quarter": mod_min > 0.25,
@@ -464,8 +474,8 @@ def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
         max_starlike_ratio=max_ratio,
         boundary_min=bnd_min,
         boundary_argmin=t_min,
-        boundary_at_0=float(at0),
-        boundary_at_pi=float(atpi),
+        boundary_at_0=at0,
+        boundary_at_pi=atpi,
         checks=checks,
         passed=all(checks.values()),
     )

@@ -43,6 +43,8 @@ def as_fraction(value) -> Fraction:
     Floats are refused everywhere exactness matters, so a caller has to
     convert explicitly (and think about what the binary value means).
     """
+    if type(value) is Fraction:
+        return value  # immutable, so already exact and shareable
     if isinstance(value, float):
         raise TypeError("refusing to coerce float to exact rational; "
                         "pass a Fraction, int or 'num/den' string")

@@ -118,6 +118,9 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     Float oracle: a >= 10^5-point scan of |A + B gamma + C gamma^2 +
     D (1 - |gamma|^2)| over p1 in [0, 2] and gamma, eta in the closed
     disk must stay below 1/4 + 1e-9.
+
+    A failed exact step reports ``failure: certification``; only the float
+    oracle reports ``failure: oracle``.
     """
     if grid < 32:
         raise ValueError("grid must be >= 32")
@@ -147,7 +150,7 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     sharp_ok = witness == Fraction(-1, 4)
 
     if not (identity_ok and cases_ok and decreasing and endpoints_ok and sharp_ok):
-        failure = "oracle"
+        failure = "certification"
 
     # --- float oracle ----------------------------------------------------
     gam = _polar_grid(grid // 3 + 1, grid)
@@ -232,9 +235,10 @@ def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
     * :func:`starcert.reduction.build_h3_reduction` expands the grouped
       majorant H of the scaled determinant and survives its transcription
       guard;
-    * a Bernstein branch-and-bound certificate (with the corner estimate
-      at the origin) proves gap = 1024 - endpoint_y1 >= 0 on [0,1]^2, and
-      the certificate passes independent re-validation;
+    * gap = 1024 - endpoint_y1 holds as a polynomial identity, and a
+      Bernstein branch-and-bound certificate (with the corner estimate at
+      the origin) proves gap >= 0 on [0,1]^2 and passes independent
+      re-validation;
     * the max Bernstein coefficient of endpoint_y0 on [0,1]^2 (910) also
       sits below the target 1024;
     * H <= H1 <= max(endpoint_y1, endpoint_y0) on the whole cube:
@@ -249,6 +253,9 @@ def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
     parametrization stays below 1024 (1 + 1e-9), and on 300 random
     samples (seeded with DEFAULT_SEED) the majorant H dominates the
     sampled value.
+
+    A failed exact step reports ``failure: certification``; only a float
+    check reports ``failure: oracle``.
     """
     if max_depth < 3:
         raise ValueError("max_depth must be >= 3 (the corner box appears at depth 3)")
@@ -258,13 +265,17 @@ def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
     import numpy as np
     red = build_h3_reduction()
     details: dict = {}
-    failure = None
+
+    # the certified polynomial is the gap the majorant leaves below 1024
+    gap_ok = red.gap == MAJORANT_TARGET - red.endpoint_y1
+    details["gap_is_target_minus_endpoint_y1"] = gap_ok
+    failure = None if gap_ok else "certification"
 
     cert = certify_positive(red.gap, UNIT_BOX, max_depth, CornerRule(0, 0))
     details["certificate_leaves"] = len(cert.leaves())
     details["certificate_succeeded"] = cert.succeeded
     if not cert.succeeded:
-        failure = "certification"
+        failure = failure or "certification"
     recheck = check_certificate(red.gap, cert, UNIT_BOX)
     details["certificate_revalidated"] = recheck
     if not recheck:
@@ -288,7 +299,7 @@ def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
     sharp = h3_schwarz_poly((0, 0, 1, 0))
     details["sharpness_w_z3_scaled"] = format_rational(sharp)
     if sharp != -MAJORANT_TARGET:
-        failure = failure or "oracle"
+        failure = failure or "certification"
 
     # --- float oracle ----------------------------------------------------
     gam = _polar_grid(grid // 2 + 1, 2 * grid)

@@ -1,15 +1,18 @@
 """Bernstein enclosure machinery: conversion, subdivision, certificates."""
 import copy
 import dataclasses
+import gc
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starcert import bernstein
 from starcert.bernstein import (MAX_DEGREE, UNIT_BOX, BiPoly, Box,
                                 CertificateError, CornerRule,
                                 PositivityCertificate,
@@ -194,15 +197,74 @@ boxes = st.builds(
     st.builds(F, st.integers(1, 9), st.integers(1, 9)))
 
 
+# a raise of 9 gives per-axis maps up to degree 13
+raises = st.sampled_from([0, 1, 2, 9])
+
+
 @settings(max_examples=60, deadline=None)
-@given(polys, boxes, st.integers(0, 2), st.integers(0, 2))
+@given(polys, boxes, raises, raises)
 def test_integer_conversion_matches_fraction_reference(f, box, dm, dn):
     m, n = f.bidegree
-    assert to_bernstein(f, box).bcoeffs == ref_bernstein(f, box)
-    raised = to_bernstein(f, box, degree=(m + dm, n + dn))
-    assert raised.bcoeffs == ref_bernstein(f, box, (m + dm, n + dn))
+    memo = bernstein._AxisMaps()
+    # each quadrant shares one endpoint per axis with the box; the second
+    # round reads every per-axis map back from the memo
+    cells = (box,) + box.quadrants()
+    rounds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bernstein, "_AXIS_MAPS", memo)
+        for check in (True, False):
+            patches = [to_bernstein(f, cell, degree) for cell in cells
+                       for degree in (None, (m + dm, n + dn))]
+            if check:
+                assert [p.bcoeffs for p in patches] == [
+                    ref_bernstein(f, cell, degree) for cell in cells
+                    for degree in (None, (m + dm, n + dn))]
+            rounds.append(([(p.ints, p.den) for p in patches],
+                           len(memo._maps)))
+    assert rounds[0] == rounds[1] and rounds[0][1] > 0
+    raised = patches[1]
     assert enclosure(raised) == (min(map(min, raised.bcoeffs)),
                                  max(map(max, raised.bcoeffs)))
+
+
+def test_axis_map_memo_stays_within_its_byte_bound(monkeypatch):
+    limit = bernstein._AXIS_CACHE_BYTES
+    assert limit == 1 << 20
+    f = BiPoly([[F(i + j + 1, 3) for j in range(9)] for i in range(9)])
+    to_bernstein(f, UNIT_BOX)  # the degree-8 weights are cached apart
+    memo = bernstein._AxisMaps()
+    monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        # 130-bit denominators: about 50 boxes fill the memo
+        big = 10 ** 40
+        for k in range(1, 121):
+            box = Box(F(-k, big + k), F(1, 3), 0, F(k, big + 7))
+            last = to_bernstein(f, box)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    entries = memo._maps
+    assert 0 < len(entries) < 240                 # the oldest maps went
+    assert last.bcoeffs == ref_bernstein(f, box)
+    lo = box.p_lo
+    assert (8, lo.numerator, lo.denominator, 1, 3) in entries  # the newest stayed
+    assert memo.bytes == sum(bernstein._retained_size(key, *e[:2])
+                             for key, e in entries.items()) <= limit
+    assert grown <= limit + 100 * len(entries)
+
+
+def test_axis_map_larger_than_the_memo_is_not_kept(monkeypatch):
+    memo = bernstein._AxisMaps()
+    monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
+    monkeypatch.setattr(bernstein, "_AXIS_CACHE_BYTES", 1000)
+    f = BiPoly([[F(i - j, 5) for j in range(5)] for i in range(5)])
+    box = Box(F(-1, 3), F(2, 7), 0, 1)
+    assert to_bernstein(f, box).bcoeffs == ref_bernstein(f, box)
+    assert len(memo._maps) == memo.bytes == 0
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,10 @@
 """Command-line interface: output shapes, artifacts, exit codes."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,44 @@ def test_scan_phi(capsys):
     code, out, _ = run(capsys, "scan-phi", "--grid", "24")
     assert code == 0
     assert out.count("pass") == 6 and "FAIL" not in out
+
+
+BLAS_PROBE = r"""
+import os, sys
+from starcert.cli import main
+main(["scan-phi", "--grid", "8"])
+print(len(os.listdir("/proc/self/task")),
+      os.environ.get("OPENBLAS_NUM_THREADS", "unset"), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc/self/task to count threads")
+@pytest.mark.parametrize("user_value", [None, "2"])
+def test_numpy_subcommands_start_no_idle_blas_workers(user_value):
+    # numpy loads inside main(), while it caps the OpenBLAS pool; main()
+    # leaves the environment as it found it, and a value the user set wins
+    pytest.importorskip("numpy")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    count, value = proc.stderr.split()
+    assert value == (user_value or "unset")
+    if user_value is None:
+        assert int(count) == 1
+
+
+def test_main_leaves_the_environment_as_it_found_it(capsys, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["scan-phi", "--grid", "8"]) == 0
+    assert main(["janowski", "--A", "1/4", "--B", "1/2"]) == 64
+    assert dict(os.environ) == before
 
 
 def test_verify_h2_json(tmp_path, capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from starcert import gft
 from starcert.gft import (JanowskiParams, caratheodory_from_schwarz,
                           caratheodory_to_coeffs, h2_envelope, h2_terms,
                           h3_schwarz_poly, hankel2, hankel3, janowski_check,
@@ -223,9 +224,28 @@ def test_blocked_scan_matches_whole_array_reference(grid, points):
             rep.boundary_min, rep.boundary_argmin) == ref_phi_scan(grid, npts)
 
 
+@pytest.mark.parametrize("angle", [0.0, math.pi])
+def test_tangency_is_read_from_the_scan(monkeypatch, angle):
+    # raise the boundary samples near one tangency point: the minimum
+    # (at the other point) still passes, the tangency check must not
+    real = gft._boundary_distance
+    monkeypatch.setattr(gft, "_boundary_distance",
+                        lambda t: real(t) + (np.abs(t - angle) < 1e-9))
+    rep = ma_minda_scan(grid_density=16)
+    assert rep.checks["boundary_distance_at_least_one"]
+    assert rep.checks["tangency_at_0_and_pi"] is False and not rep.passed
+    assert (rep.boundary_at_0, rep.boundary_at_pi) == pytest.approx(
+        (2, 1) if angle == 0 else (1, 2), abs=1e-12)
+
+
 def test_scan_rejects_tiny_grid():
     with pytest.raises(ValueError):
         ma_minda_scan(grid_density=4)
+    # no boundary sample to read the tangency values from
+    for points in (0, -1, -2):
+        with pytest.raises(ValueError, match="boundary_points"):
+            ma_minda_scan(grid_density=8, boundary_points=points)
+    assert ma_minda_scan(grid_density=8, boundary_points=1).passed
 
 
 # ---------------------------------------------------------------------------

@@ -27,3 +27,8 @@ def test_as_fraction_refuses_floats():
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         as_fraction(0.5)
+
+
+def test_as_fraction_keeps_an_exact_fraction():
+    q = Fraction(3, 7)
+    assert as_fraction(q) is q

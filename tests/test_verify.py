@@ -207,6 +207,29 @@ def test_lowered_majorant_fails_domination(monkeypatch, reduction, capsys):
     assert "majorant_dominates_samples: False" in capsys.readouterr().out
 
 
+def test_gap_must_be_target_minus_endpoint_y1(monkeypatch, reduction, capsys):
+    # gap + 1 is still positive, so its certificate holds; only the
+    # polynomial identity with endpoint_y1 catches the fault
+    shifted = dataclasses.replace(reduction, gap=reduction.gap + 1)
+    monkeypatch.setattr(verify, "build_h3_reduction", lambda: shifted)
+    report = verify_h3(grid=4)
+    d = report.details
+    assert d["certificate_succeeded"] and d["certificate_revalidated"]
+    assert d["gap_is_target_minus_endpoint_y1"] is False
+    assert report.status == "failed" and d["failure"] == "certification"
+    assert main(["certify-h3", "--grid", "4"]) == 2
+    assert "gap_is_target_minus_endpoint_y1: False" in capsys.readouterr().out
+
+
+def test_h3_sharpness_is_an_exact_step(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "h3_schwarz_poly", lambda w: F(-1023))
+    report = verify_h3(grid=4)
+    assert report.details["sharpness_w_z3_scaled"] == "-1023"
+    assert report.details["failure"] == "certification"
+    assert main(["certify-h3", "--grid", "4"]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("group, delta", [
     ("base", 1), ("ycoef", 1), ("ycoef", -1), ("y2coef", 1), ("comp", 1)])
 def test_corrupted_group_fails_capped_between_endpoints(monkeypatch, reduction,
@@ -253,8 +276,8 @@ def test_broken_slice_fails_verify_h2(monkeypatch, capsys, change, identity, cas
     report = verify_h2()
     d = report.details
     assert (d["envelope_identity_exact"], d["case_conditions_hold"]) == (identity, cases)
-    assert report.status == "failed" and d["failure"] == "oracle"
-    assert main(["verify-h2"]) == 3
+    assert report.status == "failed" and d["failure"] == "certification"
+    assert main(["verify-h2"]) == 2
     assert "status: failed" in capsys.readouterr().out
 
 
@@ -265,7 +288,7 @@ def test_h2_envelope_must_decrease(monkeypatch):
         lambda A, B, C, D, g1: (A, B + bump, C, D, g1 + bump)))
     d = verify_h2().details
     assert d["envelope_identity_exact"] and d["case_conditions_hold"]
-    assert d["envelope_strictly_decreasing"] is False and d["failure"] == "oracle"
+    assert d["envelope_strictly_decreasing"] is False and d["failure"] == "certification"
 
 
 # ---------------------------------------------------------------------------
