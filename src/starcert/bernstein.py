@@ -27,7 +27,7 @@ import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from math import comb, lcm
 from operator import mul
 from sys import getsizeof
@@ -379,10 +379,15 @@ class BernsteinPatch:
         return len(self.ints) - 1, len(self.ints[0]) - 1
 
 
-def _transform(rows: Sequence[Sequence[int]], mp, mx) -> list:
-    """The integer matrix product mp * rows * mx^T (one map per axis)."""
-    y = list(zip(*[[sum(map(mul, r, c)) for c in mx] for r in rows]))
-    return [[sum(map(mul, r, c)) for c in y] for r in mp]
+def _p_stage(rows: Sequence[Sequence[int]], mp) -> list:
+    """The integer matrix product mp * rows (the map on the p axis)."""
+    cols = list(zip(*rows))
+    return [[sum(map(mul, r, c)) for c in cols] for r in mp]
+
+
+def _x_stage(rows: Sequence[Sequence[int]], mx) -> list:
+    """The integer matrix product rows * mx^T (the map on the x axis)."""
+    return [[sum(map(mul, r, c)) for c in mx] for r in rows]
 
 
 def _shift(m: int, a: Fraction, s: Fraction) -> tuple[list, int]:
@@ -400,7 +405,6 @@ def _shift(m: int, a: Fraction, s: Fraction) -> tuple[list, int]:
     return list(zip(*cols)), q ** m
 
 
-@lru_cache(maxsize=64)
 def _bernstein_weights(m: int) -> tuple[tuple, int]:
     """Integer matrix W and scale L with W/L mapping power coefficients on
     [0, 1] to Bernstein coefficients: W[j][k] = C(j,k) L/C(m,k), where
@@ -500,7 +504,7 @@ def to_bernstein(poly: BiPoly, box: Box,
     # (W_p S_p) rows (W_x S_x)^T is W_p (S_p rows S_x^T) W_x^T, exactly
     mp, dp = _axis_map(m, box.p_lo, box.p_hi)
     mx, dx = _axis_map(n, box.x_lo, box.x_hi)
-    return BernsteinPatch(box, _transform(rows, mp, mx), den * dp * dx)
+    return BernsteinPatch(box, _x_stage(_p_stage(rows, mp), mx), den * dp * dx)
 
 
 def enclosure(patch: BernsteinPatch) -> tuple[Fraction, Fraction]:
@@ -600,7 +604,7 @@ def corner_split(poly: BiPoly, box: Box,
     mp, dp = _shift(m, cp, Fraction(1 if cp == box.p_lo else -1))
     mx, dx = _shift(n, cx, Fraction(1 if cx == box.x_lo else -1))
     g = BiPoly([[Fraction(c, den * dp * dx) for c in row]
-                for row in _transform(rows, mp, mx)])
+                for row in _x_stage(_p_stage(rows, mp), mx)])
     if g.coeff(0, 0) != 0 or g.coeff(1, 0) != 0 or g.coeff(0, 1) != 0:
         return None
     tail = [(i, j, c) for i, j, c in g.terms() if i + j >= 3]
@@ -806,10 +810,19 @@ def bound_above(poly: BiPoly, box: Box = UNIT_BOX, depth: int = 0) -> Fraction:
     uniform subdivisions (non-increasing in depth)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    patches = [to_bernstein(poly, box)]
-    for _ in range(depth):
-        patches = [child for patch in patches for child in subdivide(patch)]
-    return max(enclosure(patch)[1] for patch in patches)
+    # depth first, so at most three siblings wait per level; all leaves
+    # share one denominator, so the running maximum is an integer
+    stack = [(to_bernstein(poly, box), depth)]
+    best = None
+    while stack:
+        patch, left = stack.pop()
+        if left:
+            stack.extend((child, left - 1) for child in subdivide(patch))
+        else:
+            top = max(map(max, patch.ints))
+            if best is None or top > best:
+                best, den = top, patch.den
+    return Fraction(best, den)
 
 
 # ======================================================================
@@ -824,7 +837,10 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     conversion on its box (not by replaying the builder's de Casteljau
     splits, so the two conversion routes cross-check each other), corner
     margins are recomputed from the polynomial, and subdivision geometry
-    is checked to be exact quadrisection.
+    is checked to be exact quadrisection.  The conversion is the one of
+    :func:`to_bernstein`, p axis first: nodes in one column of the tree
+    share their p-interval, so each distinct p-interval is mapped once per
+    call and each node applies only its own x-axis map.
 
     Returns True iff the certificate is structurally sound **and** proves
     positivity (no failed leaves).  Structural lies - a tampered bound,
@@ -832,10 +848,22 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     """
     if box is not None and cert.root.box != box:
         raise CertificateError(f"root box {cert.root.box} does not match {box}")
+    ints, den = poly._integers
+    m, n = poly.bidegree
+    # (p_lo, p_hi) as four integers -> (mp * ints, den * dp); integer keys
+    # hash without the modular pow a Fraction's hash costs
+    p_stages: dict = {}
 
     def walk(node: CertificateNode) -> bool:
-        patch = to_bernstein(poly, node.box)
-        lo, hi = enclosure(patch)
+        b = node.box
+        key = (b.p_lo.numerator, b.p_lo.denominator,
+               b.p_hi.numerator, b.p_hi.denominator)
+        stage = p_stages.get(key)
+        if stage is None:
+            mp, dp = _axis_map(m, b.p_lo, b.p_hi)
+            stage = p_stages[key] = (_p_stage(ints, mp), den * dp)
+        mx, dx = _axis_map(n, b.x_lo, b.x_hi)
+        lo, hi = enclosure(BernsteinPatch(b, _x_stage(stage[0], mx), stage[1] * dx))
         if lo != node.min_bcoeff or hi != node.max_bcoeff:
             raise CertificateError(
                 f"enclosure mismatch on {node.box}: "

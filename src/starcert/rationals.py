@@ -15,18 +15,22 @@ __all__ = ["parse_rational", "format_rational", "as_fraction"]
 def parse_rational(text: str) -> Fraction:
     """Parse ``"num/den"`` or ``"num"`` into a Fraction.
 
-    Raises ValueError on anything else (floats included: the decimal
-    point is rejected on purpose so inexact values cannot sneak into a
-    certificate), and on input that is not a string at all, such as a
-    JSON number or null read from a certificate file.
+    The grammar is that of Python 3.11's ``Fraction(str)`` without its
+    decimal point and exponent: an optional sign, then digits (underscores
+    between digits allowed), then optionally ``/`` and digits, with
+    whitespace only at the ends.  Raises ValueError on anything else (floats included, so
+    inexact values cannot sneak into a certificate), on a zero
+    denominator, and on input that is not a string at all, such as a JSON
+    number or null read from a certificate file.
     """
     if not isinstance(text, str):
         raise ValueError(f"not an exact rational: {text!r}")
-    s = text.strip()
-    if "." in s or "e" in s.lower():
+    num, slash, den = text.partition("/")
+    # int() also takes whitespace at the slash and a sign on the denominator
+    if slash and (num[-1:].isspace() or den[:1].isspace() or den[:1] in "+-"):
         raise ValueError(f"not an exact rational: {text!r}")
     try:
-        return Fraction(s)
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
 

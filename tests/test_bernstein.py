@@ -231,7 +231,6 @@ def test_axis_map_memo_stays_within_its_byte_bound(monkeypatch):
     limit = bernstein._AXIS_CACHE_BYTES
     assert limit == 1 << 20
     f = BiPoly([[F(i + j + 1, 3) for j in range(9)] for i in range(9)])
-    to_bernstein(f, UNIT_BOX)  # the degree-8 weights are cached apart
     memo = bernstein._AxisMaps()
     monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
     gc.collect()
@@ -255,6 +254,28 @@ def test_axis_map_memo_stays_within_its_byte_bound(monkeypatch):
     assert memo.bytes == sum(bernstein._retained_size(key, *e[:2])
                              for key, e in entries.items()) <= limit
     assert grown <= limit + 100 * len(entries)
+
+
+def test_high_degree_conversions_retain_only_the_memo(monkeypatch):
+    # the weight matrices of these degrees take 1.2 MB together; only
+    # the fused maps the memo keeps, within its limit, may stay behind
+    memo = bernstein._AxisMaps()
+    monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
+    fs = [BiPoly.from_terms([(m, 0, 1)]) for m in (80, 96, 112)]
+    for f in fs:
+        f._integers
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for f in fs:
+            to_bernstein(f, UNIT_BOX)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < memo.bytes <= bernstein._AXIS_CACHE_BYTES
+    assert grown <= bernstein._AXIS_CACHE_BYTES + 100 * len(memo._maps)
 
 
 def test_axis_map_larger_than_the_memo_is_not_kept(monkeypatch):
@@ -282,6 +303,19 @@ def test_subdivision_matches_direct_conversion_to_depth_3(f, box):
 def test_bound_above_matches_reference(f, box):
     for depth in range(4):
         assert bound_above(f, box, depth) == ref_bound_above(f, box, depth)
+
+
+def test_bound_above_keeps_one_path_of_patches(reduction):
+    # all 4^6 leaves at once peaked at 12.8 MB; depth first keeps a few
+    # patches per level
+    bound_above(reduction.endpoint_y0, UNIT_BOX, 0)   # fills the map memo
+    tracemalloc.start()
+    try:
+        bound_above(reduction.endpoint_y0, UNIT_BOX, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_bound_above_tightens_with_depth():
@@ -446,6 +480,26 @@ def test_corner_certificate_requires_rule(reduction):
     stripped = PositivityCertificate(cert.root, corner_rule=None)
     with pytest.raises(CertificateError, match="corner rule"):
         check_certificate(reduction.gap, stripped)
+
+
+def _node_docs(doc):
+    yield doc
+    for child in doc["children"]:
+        yield from _node_docs(child)
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys, boxes, st.integers(0, 3), st.data())
+def test_check_certificate_reconverts_every_node(f, box, depth, data):
+    # nodes share p-intervals with their siblings and cousins; each node's
+    # enclosure must still be its own, down to one part in 10^9
+    cert = certify_positive(f, box, depth)
+    assert check_certificate(f, cert, box) is cert.succeeded
+    doc = cert.to_json_doc()
+    node = data.draw(st.sampled_from(list(_node_docs(doc))))
+    node["min_bcoeff"] = str(F(node["min_bcoeff"]) + F(1, 10 ** 9))
+    with pytest.raises(CertificateError, match="enclosure mismatch"):
+        check_certificate(f, PositivityCertificate.from_json_doc(doc), box)
 
 
 def test_check_rejects_wrong_root_box():
