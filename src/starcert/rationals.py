@@ -25,7 +25,8 @@ def parse_rational(text: str) -> Fraction:
     """
     if not isinstance(text, str):
         raise ValueError(f"not an exact rational: {text!r}")
-    num, slash, den = text.partition("/")
+    # int() refuses the separators U+001C..U+001F that Fraction strips
+    num, slash, den = text.strip().partition("/")
     # int() also takes whitespace at the slash and a sign on the denominator
     if slash and (num[-1:].isspace() or den[:1].isspace() or den[:1] in "+-"):
         raise ValueError(f"not an exact rational: {text!r}")
