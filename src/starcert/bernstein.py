@@ -297,12 +297,9 @@ def parse_poly_text(text: str) -> BiPoly:
     return BiPoly.from_terms(terms, bidegree=header)
 
 
-def format_poly_text(poly: BiPoly, comment: str | None = None) -> str:
+def format_poly_text(poly: BiPoly) -> str:
     m, n = poly.bidegree
-    lines = []
-    if comment:
-        lines.extend("# " + ln for ln in comment.splitlines())
-    lines.append(f"bidegree {m} {n}")
+    lines = [f"bidegree {m} {n}"]
     for i, j, c in sorted(poly.terms()):
         lines.append(f"{i} {j} {format_rational(c)}")
     return "\n".join(lines) + "\n"
@@ -481,30 +478,20 @@ def _axis_map(m: int, lo: Fraction, hi: Fraction) -> tuple[tuple, int]:
     return entry[0], entry[1]
 
 
-def to_bernstein(poly: BiPoly, box: Box,
-                 degree: tuple[int, int] | None = None) -> BernsteinPatch:
+def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
     """Bernstein coefficients of ``poly`` over ``box``, exactly.
 
     The box is remapped to the unit square by p = p_lo + (p_hi - p_lo) u,
     x = x_lo + (x_hi - x_lo) v, and the power coefficients are converted
     with  b_ij = sum_{k<=i, l<=j} C(i,k) C(j,l) / (C(m,k) C(n,l)) a_kl.
     Integer arithmetic throughout, with every denominator cleared once.
-    ``degree`` may raise the representation degree above the polynomial's
-    own bidegree (never lower it).
     """
-    m0, n0 = poly.bidegree
-    if degree is None:
-        m, n = m0, n0
-    else:
-        m, n = degree
-        if m < m0 or n < n0:
-            raise ValueError(f"cannot represent bidegree ({m0},{n0}) at degree ({m},{n})")
+    m, n = poly.bidegree
     ints, den = poly._integers
-    rows = [list(r) + [0] * (n - n0) for r in ints] + [[0] * (n + 1)] * (m - m0)
-    # (W_p S_p) rows (W_x S_x)^T is W_p (S_p rows S_x^T) W_x^T, exactly
+    # (W_p S_p) ints (W_x S_x)^T is W_p (S_p ints S_x^T) W_x^T, exactly
     mp, dp = _axis_map(m, box.p_lo, box.p_hi)
     mx, dx = _axis_map(n, box.x_lo, box.x_hi)
-    return BernsteinPatch(box, _x_stage(_p_stage(rows, mp), mx), den * dp * dx)
+    return BernsteinPatch(box, _x_stage(_p_stage(ints, mp), mx), den * dp * dx)
 
 
 def enclosure(patch: BernsteinPatch) -> tuple[Fraction, Fraction]:
@@ -686,8 +673,8 @@ class PositivityCertificate:
     def to_json_doc(self) -> dict:
         return _node_to_dict(self.root)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_doc(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_doc(), indent=2)
 
     @classmethod
     def from_json_doc(cls, doc: dict,
@@ -830,7 +817,7 @@ def bound_above(poly: BiPoly, box: Box = UNIT_BOX, depth: int = 0) -> Fraction:
 # ======================================================================
 
 def check_certificate(poly: BiPoly, cert: PositivityCertificate,
-                      box: Box | None = None) -> bool:
+                      box: Box) -> bool:
     """Re-verify every claim in a certificate from scratch.
 
     Every node's enclosure is recomputed by direct power-to-Bernstein
@@ -843,10 +830,11 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     call and each node applies only its own x-axis map.
 
     Returns True iff the certificate is structurally sound **and** proves
-    positivity (no failed leaves).  Structural lies - a tampered bound,
-    status, box or margin - raise :class:`CertificateError`.
+    positivity (no failed leaves).  Structural lies - a root box other than
+    ``box``, a tampered bound, status, box or margin, or a field or child
+    the node's status does not allow - raise :class:`CertificateError`.
     """
-    if box is not None and cert.root.box != box:
+    if cert.root.box != box:
         raise CertificateError(f"root box {cert.root.box} does not match {box}")
     ints, den = poly._integers
     m, n = poly.bidegree
@@ -855,6 +843,13 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     p_stages: dict = {}
 
     def walk(node: CertificateNode) -> bool:
+        # only a corner leaf records a margin, only a failed leaf a witness
+        if node.margin is not None and node.status != STATUS_CORNER:
+            raise CertificateError(f"{node.status} node on {node.box} "
+                                   f"records a margin")
+        if node.witness is not None and node.status != STATUS_FAILED:
+            raise CertificateError(f"{node.status} node on {node.box} "
+                                   f"records a witness")
         b = node.box
         key = (b.p_lo.numerator, b.p_lo.denominator,
                b.p_hi.numerator, b.p_hi.denominator)
@@ -901,6 +896,8 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                     f"children of {node.box} are not its quadrants")
             return all([walk(child) for child in node.children])
         if node.status == STATUS_FAILED:
+            if node.children:
+                raise CertificateError("failed leaf must have no children")
             if node.witness is None or len(node.witness) != 3:
                 raise CertificateError(
                     f"failed leaf needs a witness (p, x, value), "

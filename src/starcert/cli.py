@@ -140,18 +140,17 @@ def _cmd_verify_h2(args) -> int:
 
 def _cmd_certify_h3(args) -> int:
     from .verify import verify_h3
-    report = verify_h3(max_depth=args.max_depth, grid=args.grid)
+    report = verify_h3(grid=args.grid)
     cert = report.certificate
-    if args.out and cert is not None:
+    if args.out:
         _write(args.out, cert.to_json() + "\n")
         report.artifacts.append(args.out)
     print(report.render())
-    if cert is not None:
-        by_status: dict[str, int] = {}
-        for leaf in cert.leaves():
-            by_status[leaf.status] = by_status.get(leaf.status, 0) + 1
-        print("  leaves by status: "
-              + ", ".join(f"{k}={v}" for k, v in sorted(by_status.items())))
+    by_status: dict[str, int] = {}
+    for leaf in cert.leaves():
+        by_status[leaf.status] = by_status.get(leaf.status, 0) + 1
+    print("  leaves by status: "
+          + ", ".join(f"{k}={v}" for k, v in sorted(by_status.items())))
     if args.json:
         _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
     return _report_exit(report)
@@ -283,7 +282,6 @@ def _build_parser() -> _Parser:
     q = sub.add_parser("certify-h3",
                        help="certify the sharp bound 1/9 for the third "
                             "Hankel determinant")
-    q.add_argument("--max-depth", type=int, default=3)
     q.add_argument("--grid", type=int, default=12)
     q.add_argument("--out", metavar="PATH",
                    help="write the positivity certificate as JSON")

@@ -407,28 +407,29 @@ def _phi_scan_samples(grid_density: int, boundary_points: int) -> int:
     return grid_density * 4 * grid_density + boundary_points
 
 
-def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
-                  radius_cap: float = 1 - 1e-6) -> PhiScanReport:
+# the radius of the polar grid ma_minda_scan lays over the disk
+_PHI_SCAN_RADIUS = 1 - 1e-6
+
+
+def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
     """Numeric scan of the analytic properties the target function needs.
 
-    On a polar grid of the disk of radius ``radius_cap`` it measures the
-    range of phi(z) = (1 + z/2)^2 (modulus between 1/4 and 9/4, positive
-    real part) and the starlikeness ratio |z/(8 + 3z)| of the Mobius
-    transform (1 + z/2)/(1 + z/4).  On ``boundary_points`` points of the
-    unit circle it measures |phi(e^it) - 5/4|^2, whose minimum value 1 is
-    attained exactly at t = 0 and t = pi.  Both scans run in blocks.
+    On a polar grid of the disk of radius ``_PHI_SCAN_RADIUS`` it measures
+    the range of phi(z) = (1 + z/2)^2 (modulus between 1/4 and 9/4,
+    positive real part) and the starlikeness ratio |z/(8 + 3z)| of the
+    Mobius transform (1 + z/2)/(1 + z/4).  On ``grid_density**2`` points
+    of the unit circle (one more if that is odd) it measures
+    |phi(e^it) - 5/4|^2, whose minimum value 1 is attained exactly at
+    t = 0 and t = pi.  Both scans run in blocks.
     """
     if grid_density < 8:
         raise ValueError("grid_density must be >= 8")
-    npts = boundary_points if boundary_points is not None else grid_density * grid_density
-    if npts < 1:
-        raise ValueError("boundary_points must be >= 1")
-    if npts % 2:
-        npts += 1  # keep t = pi on the grid
+    npts = grid_density * grid_density
+    npts += npts % 2  # keep t = pi on the grid
     _within_budget(_phi_scan_samples(grid_density, npts))
 
     import numpy as np
-    radii = np.linspace(0.0, radius_cap, grid_density)
+    radii = np.linspace(0.0, _PHI_SCAN_RADIUS, grid_density)
     circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4 * grid_density,
                                      endpoint=False))
     rows = max(1, _BLOCK_SAMPLES // circle.size)
@@ -467,7 +468,7 @@ def ma_minda_scan(grid_density: int = 64, boundary_points: int | None = None,
     }
     return PhiScanReport(
         grid_density=grid_density,
-        radius_cap=radius_cap,
+        radius_cap=_PHI_SCAN_RADIUS,
         min_modulus=mod_min,
         max_modulus=mod_max,
         min_real=min_real,

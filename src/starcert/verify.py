@@ -227,7 +227,7 @@ def _h3_samples(grid: int) -> int:
     return (grid + 1) * (grid // 2 + 1) * 2 * grid * 3 * grid * 2 * 8
 
 
-def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
+def verify_h3(grid: int = 12) -> VerificationReport:
     """Certify |H3(1)| <= 1/9 and cross-check numerically.
 
     Certified chain:
@@ -257,8 +257,6 @@ def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
     A failed exact step reports ``failure: certification``; only a float
     check reports ``failure: oracle``.
     """
-    if max_depth < 3:
-        raise ValueError("max_depth must be >= 3 (the corner box appears at depth 3)")
     if grid < 4:  # the smallest grid whose oracle reaches 10^4 samples
         raise ValueError("grid must be >= 4")
     _within_budget(_h3_samples(grid))
@@ -271,7 +269,8 @@ def verify_h3(max_depth: int = 3, grid: int = 12) -> VerificationReport:
     details["gap_is_target_minus_endpoint_y1"] = gap_ok
     failure = None if gap_ok else "certification"
 
-    cert = certify_positive(red.gap, UNIT_BOX, max_depth, CornerRule(0, 0))
+    # the corner box [0, 1/8]^2 appears at depth 3, which closes the tree
+    cert = certify_positive(red.gap, UNIT_BOX, 3, CornerRule(0, 0))
     details["certificate_leaves"] = len(cert.leaves())
     details["certificate_succeeded"] = cert.succeeded
     if not cert.succeeded:

@@ -78,8 +78,7 @@ def test_from_terms_accepts_the_cap():
 
 def test_poly_text_roundtrip():
     f = BiPoly.from_terms([(2, 0, 3), (1, 1, -2), (0, 2, 3), (0, 0, F(1, 50))])
-    text = format_poly_text(f, comment="positive definite + 1/50")
-    assert parse_poly_text(text) == f
+    assert parse_poly_text(format_poly_text(f)) == f
 
 
 def test_poly_text_errors_carry_line_numbers():
@@ -117,16 +116,6 @@ def test_enclosure_is_sound():
             p = box.p_lo + box.p_width * F(rng.randint(0, 16), 16)
             x = box.x_lo + box.x_width * F(rng.randint(0, 16), 16)
             assert lo <= f.evaluate(p, x) <= hi
-
-
-def test_degree_raise():
-    # converting with an elevated degree keeps the enclosure sound and
-    # can only tighten or preserve corner interpolation
-    f = BiPoly.from_terms([(1, 0, 1), (0, 1, 1)])
-    patch = to_bernstein(f, UNIT_BOX, degree=(3, 2))
-    assert patch.degree == (3, 2)
-    lo, hi = enclosure(patch)
-    assert lo == 0 and hi == 2
 
 
 def test_subdivision_equals_direct_conversion():
@@ -168,9 +157,9 @@ def _ref_axis(vec, lo, width):
             for j in range(m + 1)]
 
 
-def ref_bernstein(poly, box, degree=None):
+def ref_bernstein(poly, box):
     """Fraction reference for to_bernstein: _ref_axis along x, then p."""
-    m, n = degree or poly.bidegree
+    m, n = poly.bidegree
     rows = [[poly.coeff(i, j) for j in range(n + 1)] for i in range(m + 1)]
     rows = [_ref_axis(r, box.x_lo, box.x_width) for r in rows]
     cols = [_ref_axis(c, box.p_lo, box.p_width) for c in zip(*rows)]
@@ -197,14 +186,20 @@ boxes = st.builds(
     st.builds(F, st.integers(1, 9), st.integers(1, 9)))
 
 
-# a raise of 9 gives per-axis maps up to degree 13
-raises = st.sampled_from([0, 1, 2, 9])
+def _skewed_poly(high, low, high_on_p):
+    m, n = (high, low) if high_on_p else (low, high)
+    return st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1),
+                    min_size=m + 1, max_size=m + 1).map(BiPoly)
+
+
+# per-axis maps up to degree 13 on one axis, up to 4 on the other
+skewed_polys = st.tuples(st.sampled_from([0, 1, 2, 5, 13]), st.integers(0, 4),
+                         st.booleans()).flatmap(lambda t: _skewed_poly(*t))
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys, boxes, raises, raises)
-def test_integer_conversion_matches_fraction_reference(f, box, dm, dn):
-    m, n = f.bidegree
+@given(skewed_polys, boxes)
+def test_integer_conversion_matches_fraction_reference(f, box):
     memo = bernstein._AxisMaps()
     # each quadrant shares one endpoint per axis with the box; the second
     # round reads every per-axis map back from the memo
@@ -213,18 +208,16 @@ def test_integer_conversion_matches_fraction_reference(f, box, dm, dn):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bernstein, "_AXIS_MAPS", memo)
         for check in (True, False):
-            patches = [to_bernstein(f, cell, degree) for cell in cells
-                       for degree in (None, (m + dm, n + dn))]
+            patches = [to_bernstein(f, cell) for cell in cells]
             if check:
                 assert [p.bcoeffs for p in patches] == [
-                    ref_bernstein(f, cell, degree) for cell in cells
-                    for degree in (None, (m + dm, n + dn))]
+                    ref_bernstein(f, cell) for cell in cells]
             rounds.append(([(p.ints, p.den) for p in patches],
                            len(memo._maps)))
     assert rounds[0] == rounds[1] and rounds[0][1] > 0
-    raised = patches[1]
-    assert enclosure(raised) == (min(map(min, raised.bcoeffs)),
-                                 max(map(max, raised.bcoeffs)))
+    for patch in patches:
+        assert enclosure(patch) == (min(map(min, patch.bcoeffs)),
+                                    max(map(max, patch.bcoeffs)))
 
 
 def test_axis_map_memo_stays_within_its_byte_bound(monkeypatch):
@@ -410,7 +403,7 @@ def test_certify_runs_out_of_depth_honestly():
         p, x, v = leaf.witness
         assert POSITIVE_POLY.evaluate(p, x) == v
     # a sound-but-incomplete certificate re-validates to False, no error
-    assert check_certificate(POSITIVE_POLY, cert) is False
+    assert check_certificate(POSITIVE_POLY, cert, UNIT_BOX) is False
 
 
 def test_certify_detects_true_negativity():
@@ -439,6 +432,9 @@ def test_certificate_json_roundtrip():
     (lambda d: d.update(min_bcoeff="1/1000000"), "enclosure mismatch"),
     (lambda d: d.update(status="failed"), "witness"),
     (lambda d: d.update(box=["0", "1/2", "0", "1/2"]), "quadrants"),
+    # fields only another status records; the witness is true at (0, 0)
+    (lambda d: d.update(margin="1/2"), "records a margin"),
+    (lambda d: d.update(witness=["0", "0", "1/50"]), "records a witness"),
 ])
 def test_tampered_certificates_are_rejected(mutate, message):
     cert = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=3)
@@ -449,7 +445,17 @@ def test_tampered_certificates_are_rejected(mutate, message):
     mutate(node)
     bad = PositivityCertificate.from_json_doc(doc)
     with pytest.raises(CertificateError, match=message):
-        check_certificate(POSITIVE_POLY, bad)
+        check_certificate(POSITIVE_POLY, bad, UNIT_BOX)
+
+
+def _find_corner(node):
+    if node["status"] == STATUS_CORNER:
+        return node
+    for child in node["children"]:
+        got = _find_corner(child)
+        if got:
+            return got
+    return None
 
 
 def test_corner_certificate_checks_margin(reduction):
@@ -457,29 +463,19 @@ def test_corner_certificate_checks_margin(reduction):
     cert = certify_positive(reduction.gap, UNIT_BOX, 3, corner)
     assert cert.succeeded
     doc = cert.to_json_doc()
-
-    def find_corner(node):
-        if node["status"] == STATUS_CORNER:
-            return node
-        for child in node["children"]:
-            got = find_corner(child)
-            if got:
-                return got
-        return None
-
-    leaf = find_corner(doc)
+    leaf = _find_corner(doc)
     assert leaf is not None
     leaf["margin"] = "1/2"
     bad = PositivityCertificate.from_json_doc(doc, corner)
     with pytest.raises(CertificateError, match="margin mismatch"):
-        check_certificate(reduction.gap, bad)
+        check_certificate(reduction.gap, bad, UNIT_BOX)
 
 
 def test_corner_certificate_requires_rule(reduction):
     cert = certify_positive(reduction.gap, UNIT_BOX, 3, CornerRule(0, 0))
     stripped = PositivityCertificate(cert.root, corner_rule=None)
     with pytest.raises(CertificateError, match="corner rule"):
-        check_certificate(reduction.gap, stripped)
+        check_certificate(reduction.gap, stripped, UNIT_BOX)
 
 
 def _node_docs(doc):
@@ -514,7 +510,34 @@ def test_check_rejects_wrong_length_witness(size):
     assert root.status == STATUS_FAILED
     bad = dataclasses.replace(root, witness=(root.witness * 2)[:size])
     with pytest.raises(CertificateError, match="witness"):
-        check_certificate(POSITIVE_POLY, PositivityCertificate(bad))
+        check_certificate(POSITIVE_POLY, PositivityCertificate(bad), UNIT_BOX)
+
+
+def test_check_rejects_margin_on_a_subdivided_node():
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=3).to_json_doc()
+    doc["margin"] = "1/2"
+    with pytest.raises(CertificateError, match="subdivided node .* records a margin"):
+        check_certificate(POSITIVE_POLY, PositivityCertificate.from_json_doc(doc),
+                          UNIT_BOX)
+
+
+def test_check_rejects_witness_on_a_corner_leaf(reduction):
+    corner = CornerRule(0, 0)
+    doc = certify_positive(reduction.gap, UNIT_BOX, 3, corner).to_json_doc()
+    _find_corner(doc)["witness"] = ["0", "0", "0"]   # the gap vanishes there
+    with pytest.raises(CertificateError,
+                       match="corner_certified node .* records a witness"):
+        check_certificate(reduction.gap,
+                          PositivityCertificate.from_json_doc(doc, corner), UNIT_BOX)
+
+
+def test_check_rejects_failed_leaf_with_children():
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=1).to_json_doc()
+    # a child's witness lies inside the root box, with its true value
+    doc.update(status="failed", witness=doc["children"][0]["witness"])
+    with pytest.raises(CertificateError, match="failed leaf must have no children"):
+        check_certificate(POSITIVE_POLY, PositivityCertificate.from_json_doc(doc),
+                          UNIT_BOX)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Command-line interface: output shapes, artifacts, exit codes."""
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from starcert.bernstein import PositivityCertificate
-from starcert.cli import _read_schwarz, main
+from starcert.cli import _build_parser, _read_schwarz, main
 
 POLY_TEXT = "bidegree 2 2\n2 0 3\n1 1 -2\n0 2 3\n0 0 1/50\n"
 
@@ -251,6 +252,9 @@ def test_usage_errors_exit_64(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["verify-h2", "--seed", "1"])  # the exact H2 chain draws nothing
     assert exc.value.code == 64
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-h3", "--max-depth", "3"])  # the tree's depth is fixed
+    assert exc.value.code == 64
     capsys.readouterr()
     # reasons name the input as the user wrote it, never Python internals
     assert run(capsys, "bernstein", "--poly", "f.poly", "--bound-above",
@@ -309,3 +313,24 @@ def test_huge_grid_exits_64_before_allocating(capsys, argv):
     assert err.startswith(f"starcert {argv[0]}: the grid asks for ")
     assert err.endswith(" samples, more than the budget of 1000000000\n")
     assert peak < 2 ** 20
+
+
+def _readme_cli_calls() -> list:
+    """The words of each `starcert` call in README's CLI block, with
+    continued lines joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split()
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("starcert ")]
+
+
+def test_readme_cli_flags_are_accepted_by_the_parser():
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    calls = _readme_cli_calls()
+    assert {words[1] for words in calls} == set(subparsers)
+    for words in calls:
+        options = subparsers[words[1]]._option_string_actions
+        for flag in (w.strip("[]") for w in words[2:] if w.lstrip("[").startswith("--")):
+            assert flag in options, f"README: starcert {words[1]} {flag}"

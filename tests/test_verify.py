@@ -75,11 +75,6 @@ def test_verify_h3_certificate_attached(h3_report):
     assert len(cert.leaves()) == 10
 
 
-def test_verify_h3_needs_enough_depth():
-    with pytest.raises(ValueError):
-        verify_h3(max_depth=2)
-
-
 def test_report_json_schema(h2_report):
     doc = h2_report.to_json_doc()
     assert set(doc) == {"claim", "bound", "status", "artifacts"}
