@@ -58,6 +58,13 @@ class CertificateError(Exception):
 # would be 10^10 entries.  The certified polynomials have bidegree (6, 4).
 MAX_DEGREE = 256
 
+# certify_positive refuses a max_depth above this.  Its tree is built by
+# one recursive call per level, so a deep budget on a polynomial with a
+# zero at a corner (p^2 + x^2 subdivides its origin box at every level) ran
+# out of Python's stack near depth 500; boxes at depth 64 are 2^-64 of the
+# root already.
+MAX_DEPTH = 64
+
 
 def _freeze(rows: Iterable[Iterable]) -> tuple:
     out = tuple(tuple(as_fraction(c) for c in row) for row in rows)
@@ -761,15 +768,17 @@ def certify_positive(poly: BiPoly, box: Box = UNIT_BOX, max_depth: int = 3,
     is done; otherwise, if ``corner_rule`` names a corner of the current
     box (the one declared zero of the polynomial), the corner estimate is
     attempted; otherwise the box is quadrisected exactly, up to
-    ``max_depth`` levels.  A box that exhausts the depth budget becomes a
-    ``failed`` leaf carrying the minimizing point of a 17 x 17 lattice as
-    a concrete (near-)counterexample to investigate.
+    ``max_depth`` levels (at most ``MAX_DEPTH``).  A box that exhausts the
+    depth budget becomes a ``failed`` leaf carrying the minimizing point of
+    a 17 x 17 lattice as a concrete (near-)counterexample to investigate.
 
     The construction is deterministic: child order is fixed and there is
     no parallelism, so the same inputs always yield the same tree.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    if max_depth > MAX_DEPTH:
+        raise ValueError(f"max_depth must be at most {MAX_DEPTH}")
     root_patch = to_bernstein(poly, box)
 
     def build(patch: BernsteinPatch, depth: int) -> CertificateNode:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcert import bernstein
-from starcert.bernstein import (MAX_DEGREE, UNIT_BOX, BiPoly, Box,
+from starcert.bernstein import (MAX_DEGREE, MAX_DEPTH, UNIT_BOX, BiPoly, Box,
                                 CertificateError, CornerRule,
                                 PositivityCertificate,
                                 STATUS_CORNER, STATUS_FAILED, STATUS_POSITIVE,
@@ -404,6 +404,18 @@ def test_certify_runs_out_of_depth_honestly():
         assert POSITIVE_POLY.evaluate(p, x) == v
     # a sound-but-incomplete certificate re-validates to False, no error
     assert check_certificate(POSITIVE_POLY, cert, UNIT_BOX) is False
+
+
+def test_certify_refuses_depth_above_the_cap():
+    # p^2 + x^2 vanishes at the corner (0, 0), so the origin box
+    # subdivides at every level: the deepest tree the cap allows
+    f = BiPoly.from_terms([(2, 0, 1), (0, 2, 1)])
+    cert = certify_positive(f, UNIT_BOX, max_depth=MAX_DEPTH)
+    assert cert.root.depth() == MAX_DEPTH + 1 and not cert.succeeded
+    back = PositivityCertificate.from_json(cert.to_json())
+    assert check_certificate(f, back, UNIT_BOX) is False
+    with pytest.raises(ValueError, match=f"max_depth must be at most {MAX_DEPTH}"):
+        certify_positive(f, UNIT_BOX, max_depth=MAX_DEPTH + 1)
 
 
 def test_certify_detects_true_negativity():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -50,6 +51,22 @@ def test_expand_bad_spec(capsys):
 
 def test_schwarz_monomial_is_built_at_the_requested_order():
     assert _read_schwarz("z^1000000", 5).order == 5
+
+
+@pytest.mark.parametrize("schwarz, order", [
+    ("z", "1001"), ("z", "1000000000"), ("z^1000000000", "1000000000")])
+def test_expand_refuses_order_above_cap_before_allocating(capsys, schwarz, order):
+    # --order 2000 once ran 3.8 s into Python's integer-string limit
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, "expand", "--schwarz", schwarz, "--order", order)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (64, "", "starcert expand: order must be at most 1000\n")
+    assert seconds < 1 and peak < 2 ** 20
 
 
 def test_radius_output(capsys):
@@ -215,6 +232,17 @@ def test_bernstein_refuses_bidegree_above_cap(tmp_path, capsys, mode):
     assert code == 64 and out == ""
     assert err == ("starcert bernstein: bidegree (100000, 100000) exceeds "
                    "the cap of 256 per variable\n")
+
+
+def test_bernstein_refuses_max_depth_above_cap(tmp_path, capsys):
+    # p^2 + x^2: only the origin box subdivides, and --max-depth 500 once
+    # ended in a RecursionError traceback
+    path = tmp_path / "origin.poly"
+    path.write_text("bidegree 2 2\n2 0 1\n0 2 1\n")
+    code, out, err = run(capsys, "bernstein", "--poly", str(path), "--certify",
+                         "--max-depth", "65")
+    assert (code, out) == (64, "")
+    assert err == "starcert bernstein: max_depth must be at most 64\n"
 
 
 @pytest.mark.parametrize("flags", [

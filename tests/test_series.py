@@ -1,4 +1,4 @@
-"""Exact truncated power series: arithmetic, exp, composition, members."""
+"""Exact truncated power series and the class members built from them."""
 import math
 import random
 from fractions import Fraction
@@ -6,15 +6,10 @@ from fractions import Fraction
 import pytest
 
 from starcert.gft import schwarz_to_coeffs
-from starcert.series import (TruncSeries, member_from_schwarz, phi_series,
-                             schwarz_monomial)
+from starcert.series import (MAX_ORDER, TruncSeries, member_from_schwarz,
+                             phi_series, schwarz_monomial)
 
 F = Fraction
-
-
-def geometric(order):
-    # 1/(1-z) = 1 + z + z^2 + ...
-    return TruncSeries.from_coeffs([1] * (order + 1), order)
 
 
 def test_construction_and_access():
@@ -36,71 +31,6 @@ def test_decimal_and_exponent_strings_rejected(text):
         TruncSeries([text])
 
 
-def test_ring_identities():
-    g = geometric(8)
-    one = TruncSeries.one(8)
-    z = TruncSeries.monomial(1, 8)
-    # (1 - z) * (1 + z + z^2 + ...) == 1
-    assert (one - z) * g == one
-    assert g - g == TruncSeries.zero(8)
-    assert 3 * z - z.scale(3) == TruncSeries.zero(8)
-
-
-def test_mul_matches_known_square():
-    g = geometric(6)
-    sq = g * g  # 1/(1-z)^2 = sum (k+1) z^k
-    assert [sq.coeff(k) for k in range(7)] == [k + 1 for k in range(7)]
-
-
-def test_order_mismatch_raises():
-    with pytest.raises(ValueError):
-        TruncSeries.one(3) + TruncSeries.one(4)
-
-
-def test_exp_matches_factorials():
-    z = TruncSeries.monomial(1, 7)
-    e = z.exp()
-    for k in range(8):
-        assert e.coeff(k) == F(1, math.factorial(k))
-
-
-def test_exp_requires_zero_constant():
-    with pytest.raises(ValueError):
-        TruncSeries.one(3).exp()
-
-
-def test_exp_is_multiplicative():
-    rng = random.Random(91)
-    for _ in range(20):
-        u = TruncSeries.from_coeffs(
-            [0] + [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(6)], 6)
-        v = TruncSeries.from_coeffs(
-            [0] + [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(6)], 6)
-        assert (u + v).exp() == u.exp() * v.exp()
-
-
-def test_compose_geometric():
-    # 1/(1 - 2z) via composing 1/(1-u) with u = 2z
-    g = geometric(6)
-    inner = TruncSeries.monomial(1, 6).scale(2)
-    comp = g.compose(inner)
-    assert [comp.coeff(k) for k in range(7)] == [2 ** k for k in range(7)]
-
-
-def test_compose_requires_vanishing_inner():
-    with pytest.raises(ValueError):
-        geometric(4).compose(TruncSeries.one(4))
-
-
-def test_integrate_then_shift():
-    z = TruncSeries.monomial(1, 5)
-    assert z.integrate().coeff(2) == F(1, 2)
-    assert z.shift_up().coeff(2) == 1
-    assert z.shift_up().shift_down() == z
-    with pytest.raises(ValueError):
-        TruncSeries.one(3).shift_down()
-
-
 def test_phi_series_values():
     phi = phi_series(4)
     assert [phi.coeff(k) for k in range(5)] == [1, 1, F(1, 4), 0, 0]
@@ -117,7 +47,7 @@ def test_member_monomials():
 
 def test_member_requires_schwarz_normalization():
     with pytest.raises(ValueError):
-        member_from_schwarz(TruncSeries.one(4))
+        member_from_schwarz(TruncSeries.from_coeffs([1], 4))
 
 
 def test_member_agrees_with_closed_form_maps():
@@ -130,3 +60,29 @@ def test_member_agrees_with_closed_form_maps():
         f = member_from_schwarz(w)
         a = schwarz_to_coeffs(c)
         assert (f.coeff(2), f.coeff(3), f.coeff(4), f.coeff(5)) == tuple(a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_member_of_monomial_matches_closed_form_at_high_order(m):
+    """For w = z^m, f = z exp(z^m/m + z^(2m)/(8m)), so f_{k+1} is the sum
+    of 1/(m^a a! (8m)^b b!) over a + 2b = k/m when m divides k, else 0."""
+    order = 40
+    f = member_from_schwarz(schwarz_monomial(m, order))
+    assert f.order == order and f.coeff(0) == 0
+    for k in range(order):
+        n, rest = divmod(k, m)
+        expected = 0 if rest else sum(
+            F(1, m ** (n - 2 * b) * math.factorial(n - 2 * b)
+              * (8 * m) ** b * math.factorial(b))
+            for b in range(n // 2 + 1))
+        assert f.coeff(k + 1) == expected, (m, k)
+
+
+def test_orders_above_the_cap_are_refused():
+    w = TruncSeries.from_coeffs([0, 1], MAX_ORDER)
+    assert w.order == MAX_ORDER
+    for build in (lambda: TruncSeries.from_coeffs([0, 1], MAX_ORDER + 1),
+                  lambda: schwarz_monomial(10 ** 9, 10 ** 9),
+                  lambda: member_from_schwarz(w, MAX_ORDER + 1)):
+        with pytest.raises(ValueError, match=f"order must be at most {MAX_ORDER}"):
+            build()
