@@ -65,6 +65,11 @@ MAX_DEGREE = 256
 # root already.
 MAX_DEPTH = 64
 
+# bound_above refuses a depth above this.  Its work can grow as 4^depth
+# patches; where the maximum lies along a curve, as for -(p - x - 1/3)^2,
+# the patches the cutoff keeps still double per level.
+MAX_BOUND_DEPTH = 12
+
 
 def _freeze(rows: Iterable[Iterable]) -> tuple:
     out = tuple(tuple(as_fraction(c) for c in row) for row in rows)
@@ -120,11 +125,13 @@ class BiPoly:
             raise ValueError(f"bidegree ({m}, {n}) exceeds the cap of "
                              f"{MAX_DEGREE} per variable")
         rows = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
+        seen = set()
         for i, j, c in items:
             if i < 0 or j < 0:
                 raise ValueError("exponents must be nonnegative")
-            if rows[i][j] != 0:
+            if (i, j) in seen:
                 raise ValueError(f"duplicate term for exponent ({i}, {j})")
+            seen.add((i, j))
             rows[i][j] = as_fraction(c)
         return cls(rows)
 
@@ -394,28 +401,19 @@ def _x_stage(rows: Sequence[Sequence[int]], mx) -> list:
     return [[sum(map(mul, r, c)) for c in mx] for r in rows]
 
 
-def _shift(m: int, a: Fraction, s: Fraction) -> tuple[list, int]:
-    """Integer matrix M and scale q^m such that M/q^m maps the coefficients
-    of a degree-m polynomial in t to those in u, where t = a + s u and q is
-    the common denominator of a and s: column i is (qa + qs u)^i q^(m-i),
-    so each step's division by q is exact."""
-    q = lcm(a.denominator, s.denominator)
-    an, sn = a.numerator * (q // a.denominator), s.numerator * (q // s.denominator)
-    col = [q ** m]
-    cols = [col + [0] * m]
-    for i in range(1, m + 1):
-        col = [(an * c + sn * b) // q for c, b in zip(col + [0], [0] + col)]
-        cols.append(col + [0] * (m - i))
-    return list(zip(*cols)), q ** m
-
-
-def _bernstein_weights(m: int) -> tuple[tuple, int]:
-    """Integer matrix W and scale L with W/L mapping power coefficients on
-    [0, 1] to Bernstein coefficients: W[j][k] = C(j,k) L/C(m,k), where
-    L = lcm of the C(m,k)."""
-    big = lcm(*(comb(m, k) for k in range(m + 1)))
-    return tuple(tuple(comb(j, k) * (big // comb(m, k)) for k in range(m + 1))
-                 for j in range(m + 1)), big
+def _pencil(m: int, c0: int, c1: int, d0: int, d1: int) -> list:
+    """Rows j = 0..m: the integer coefficients of (c0 + c1 z)^(m-j)
+    (d0 + d1 z)^j.  Row 0 is binomial; each later row is the one before
+    times (d0 + d1 z), divided exactly by (c0 + c1 z), which needs c0 > 0:
+    r_k = (g_k - c1 r_(k-1)) / c0.  O(m^2) products."""
+    row = [comb(m, k) * c0 ** (m - k) * c1 ** k for k in range(m + 1)]
+    rows = [row]
+    for _ in range(m):
+        prev, row = 0, [d0 * a + d1 * b for a, b in zip(row, [0] + row)]
+        for k, g in enumerate(row):     # g_(m+1) = c1 r_m is not needed
+            row[k] = prev = (g - c1 * prev) // c0
+        rows.append(row)
+    return rows
 
 
 # The memo keeps at most this many bytes of maps, whatever the degree.
@@ -470,18 +468,22 @@ _AXIS_MAPS = _AxisMaps()
 
 
 def _axis_map(m: int, lo: Fraction, hi: Fraction) -> tuple[tuple, int]:
-    """Integer matrix W S and scale L q^m: (W S)/(L q^m) maps the power
+    """Integer matrix M and scale L q^m: M/(L q^m) maps the power
     coefficients of a degree-m polynomial in t to its Bernstein
-    coefficients over [lo, hi], with S, q^m from :func:`_shift` and W, L
-    from :func:`_bernstein_weights`.  Memoised in ``_AXIS_MAPS``."""
+    coefficients over [lo, hi], with q = lcm(den lo, den hi), L = lcm of
+    the C(m, k).  By blossoming (Ramshaw 1989), coefficient j of t^k is
+    e_k(lo^(m-j), hi^j)/C(m, k): column k of a :func:`_pencil` row times
+    L/C(m, k).  Memoised in ``_AXIS_MAPS``."""
     key = (m, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
     entry = _AXIS_MAPS.get(key)
     if entry is None:
-        s, q = _shift(m, lo, hi - lo)
-        w, big = _bernstein_weights(m)
-        cols = list(zip(*s))
-        fused = tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in w)
-        entry = _AXIS_MAPS.put(key, fused, big * q)
+        q = lcm(lo.denominator, hi.denominator)
+        big = lcm(*(comb(m, k) for k in range(m + 1)))
+        weights = [big // comb(m, k) for k in range(m + 1)]
+        rows = _pencil(m, q, lo.numerator * (q // lo.denominator),
+                       q, hi.numerator * (q // hi.denominator))
+        entry = _AXIS_MAPS.put(key, tuple(tuple(map(mul, r, weights)) for r in rows),
+                               big * q ** m)
     return entry[0], entry[1]
 
 
@@ -495,7 +497,6 @@ def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
     """
     m, n = poly.bidegree
     ints, den = poly._integers
-    # (W_p S_p) ints (W_x S_x)^T is W_p (S_p ints S_x^T) W_x^T, exactly
     mp, dp = _axis_map(m, box.p_lo, box.p_hi)
     mx, dx = _axis_map(n, box.x_lo, box.x_hi)
     return BernsteinPatch(box, _x_stage(_p_stage(ints, mp), mx), den * dp * dx)
@@ -595,9 +596,12 @@ def corner_split(poly: BiPoly, box: Box,
         return None
     m, n = poly.bidegree
     rows, den = poly._integers
-    mp, dp = _shift(m, cp, Fraction(1 if cp == box.p_lo else -1))
-    mx, dx = _shift(n, cx, Fraction(1 if cx == box.x_lo else -1))
-    g = BiPoly([[Fraction(c, den * dp * dx) for c in row]
+    # t = c + u at a low end, c - u at a high one: pencil row i holds the
+    # u-coefficients of t^i den(c)^degree
+    (pn, pd), (xn, xd) = cp.as_integer_ratio(), cx.as_integer_ratio()
+    mp = list(zip(*_pencil(m, pd, 0, pn, pd if cp == box.p_lo else -pd)))
+    mx = list(zip(*_pencil(n, xd, 0, xn, xd if cx == box.x_lo else -xd)))
+    g = BiPoly([[Fraction(c, den * pd ** m * xd ** n) for c in row]
                 for row in _x_stage(_p_stage(rows, mp), mx)])
     if g.coeff(0, 0) != 0 or g.coeff(1, 0) != 0 or g.coeff(0, 1) != 0:
         return None
@@ -803,22 +807,35 @@ def certify_positive(poly: BiPoly, box: Box = UNIT_BOX, max_depth: int = 3,
 
 def bound_above(poly: BiPoly, box: Box = UNIT_BOX, depth: int = 0) -> Fraction:
     """Certified upper bound: the max Bernstein coefficient after ``depth``
-    uniform subdivisions (non-increasing in depth)."""
+    uniform subdivisions (non-increasing in depth, at most
+    ``MAX_BOUND_DEPTH``).
+
+    Patches that cannot raise the result are cut off (Ray & Nataraj
+    2009): corner coefficients are values of ``poly`` and a leaf's largest
+    coefficient is one of the maxima taken, so each is at most the
+    result, and subdivision never raises a patch's largest coefficient.
+    A patch whose largest coefficient is at most the best such value seen
+    is dropped, which leaves the result as it was.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    # depth first, so at most three siblings wait per level; all leaves
-    # share one denominator, so the running maximum is an integer
+    if depth > MAX_BOUND_DEPTH:
+        raise ValueError(f"depth must be at most {MAX_BOUND_DEPTH}")
+    # depth first, so at most three siblings wait per level; leaves at
+    # different levels have different denominators, so compare Fractions
     stack = [(to_bernstein(poly, box), depth)]
     best = None
     while stack:
         patch, left = stack.pop()
-        if left:
+        ints = patch.ints
+        top = Fraction(max(map(max, ints)), patch.den)
+        seen = top if not left else Fraction(
+            max(ints[0][0], ints[0][-1], ints[-1][0], ints[-1][-1]), patch.den)
+        if best is None or seen > best:
+            best = seen
+        if top > best:      # never at a leaf, where best >= top
             stack.extend((child, left - 1) for child in subdivide(patch))
-        else:
-            top = max(map(max, patch.ints))
-            if best is None or top > best:
-                best, den = top, patch.den
-    return Fraction(best, den)
+    return best
 
 
 # ======================================================================

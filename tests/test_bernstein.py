@@ -10,11 +10,11 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starcert import bernstein
-from starcert.bernstein import (MAX_DEGREE, MAX_DEPTH, UNIT_BOX, BiPoly, Box,
-                                CertificateError, CornerRule,
+from starcert.bernstein import (MAX_BOUND_DEPTH, MAX_DEGREE, MAX_DEPTH,
+                                UNIT_BOX, BiPoly, Box, CertificateError, CornerRule,
                                 PositivityCertificate,
                                 STATUS_CORNER, STATUS_FAILED, STATUS_POSITIVE,
                                 bound_above, certify_positive,
@@ -58,6 +58,16 @@ def test_bipoly_rejects_floats():
 def test_from_terms_duplicates():
     with pytest.raises(ValueError):
         BiPoly.from_terms([(0, 0, 1), (0, 0, 2)])
+
+
+@pytest.mark.parametrize("terms", [
+    [(0, 0, 0), (0, 0, 5)],        # a zero first copy once hid the second
+    [(0, 0, 5), (0, 0, 0)],
+    [(1, 2, 0), (1, 2, 0)],
+])
+def test_from_terms_refuses_every_duplicate(terms):
+    with pytest.raises(ValueError, match=r"duplicate term for exponent \(\d, \d\)"):
+        BiPoly.from_terms(terms)
 
 
 # Each case would allocate at least 10^9 entries if the cap were missed.
@@ -220,6 +230,17 @@ def test_integer_conversion_matches_fraction_reference(f, box):
                                     max(map(max, patch.bcoeffs)))
 
 
+# one axis of degree 32 or 64 over non-dyadic boxes with negative ends:
+# map integers of hundreds of bits, past what the property test reaches
+@pytest.mark.parametrize("m, n", [(32, 0), (0, 32), (64, 1), (2, 64)])
+@pytest.mark.parametrize("box", [Box(F(-7, 3), F(5, 11), F(-13, 9), F(-2, 7)),
+                                 Box(F(-1, 6), F(1, 10), F(-5, 3), F(7, 5))])
+def test_high_degree_conversion_matches_fraction_reference(monkeypatch, m, n, box):
+    monkeypatch.setattr(bernstein, "_AXIS_MAPS", bernstein._AxisMaps())
+    f = rand_poly(random.Random(m * 100 + n), m, n, den=30)
+    assert to_bernstein(f, box).bcoeffs == ref_bernstein(f, box)
+
+
 def test_axis_map_memo_stays_within_its_byte_bound(monkeypatch):
     limit = bernstein._AXIS_CACHE_BYTES
     assert limit == 1 << 20
@@ -250,8 +271,8 @@ def test_axis_map_memo_stays_within_its_byte_bound(monkeypatch):
 
 
 def test_high_degree_conversions_retain_only_the_memo(monkeypatch):
-    # the weight matrices of these degrees take 1.2 MB together; only
-    # the fused maps the memo keeps, within its limit, may stay behind
+    # the maps of these degrees take about 1.2 MB together; only those
+    # the memo keeps, within its limit, may stay behind
     memo = bernstein._AxisMaps()
     monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
     fs = [BiPoly.from_terms([(m, 0, 1)]) for m in (80, 96, 112)]
@@ -291,8 +312,15 @@ def test_subdivision_matches_direct_conversion_to_depth_3(f, box):
             assert child.bcoeffs == to_bernstein(f, child.box).bcoeffs
 
 
+# the maximum 0 lies on the line p = x + 1/3, so the cutoff keeps a
+# band of patches at every level
+RIDGE = -(BiPoly.var_p() - BiPoly.var_x() - F(1, 3)) ** 2
+
+
 @settings(max_examples=20, deadline=None)
 @given(polys, boxes)
+@example(RIDGE, UNIT_BOX)
+@example(RIDGE, Box(F(-2, 3), F(4, 5), F(-1, 7), F(5, 3)))
 def test_bound_above_matches_reference(f, box):
     for depth in range(4):
         assert bound_above(f, box, depth) == ref_bound_above(f, box, depth)
@@ -309,6 +337,29 @@ def test_bound_above_keeps_one_path_of_patches(reduction):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_bound_above_cuts_off_patches_below_a_corner_value(monkeypatch):
+    # 3p^2 - 2px + 3x^2 + 1/50 peaks at the corners (1, 0) and (0, 1), which
+    # are Bernstein coefficients of the root patch: nothing is subdivided
+    f = BiPoly.from_terms([(2, 0, 3), (1, 1, -2), (0, 2, 3), (0, 0, F(1, 50))])
+    calls = []
+    monkeypatch.setattr(bernstein, "subdivide",
+                        lambda patch: calls.append(patch) or subdivide(patch))
+    assert bound_above(f, UNIT_BOX, 8) == F(201, 50)
+    assert calls == []
+    # the ridge keeps a band of patches at every level
+    assert bound_above(RIDGE, UNIT_BOX, 5) == ref_bound_above(RIDGE, UNIT_BOX, 5)
+    assert 10 < len(calls) < 4 ** 4
+
+
+def test_bound_above_refuses_depth_above_cap(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("converted before refusing the depth")
+    monkeypatch.setattr(bernstein, "to_bernstein", no_work)
+    assert MAX_BOUND_DEPTH >= 6     # the perfbench sweep calls depth 6
+    with pytest.raises(ValueError, match=f"depth must be at most {MAX_BOUND_DEPTH}"):
+        bound_above(RIDGE, UNIT_BOX, MAX_BOUND_DEPTH + 1)
 
 
 def test_bound_above_tightens_with_depth():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from starcert import bernstein
 from starcert.bernstein import PositivityCertificate
 from starcert.cli import _build_parser, _read_schwarz, main
 
@@ -243,6 +244,18 @@ def test_bernstein_refuses_max_depth_above_cap(tmp_path, capsys):
                          "--max-depth", "65")
     assert (code, out) == (64, "")
     assert err == "starcert bernstein: max_depth must be at most 64\n"
+
+
+def test_bernstein_refuses_bound_depth_above_cap(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("converted before refusing the depth")
+    monkeypatch.setattr(bernstein, "to_bernstein", no_work)
+    path = tmp_path / "f.poly"
+    path.write_text(POLY_TEXT)
+    code, out, err = run(capsys, "bernstein", "--poly", str(path),
+                         "--bound-above", "--depth", "13")
+    assert (code, out) == (64, "")
+    assert err == "starcert bernstein: depth must be at most 12\n"
 
 
 @pytest.mark.parametrize("flags", [

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ def test_verify_h3_certificate_attached(h3_report):
     # depth-3 tree: root + 3 internal + 10 leaves
     assert cert.root.depth() == 4
     assert len(cert.leaves()) == 10
+
+
+def test_verify_h3_certificate_bytes_match_the_reference(h3_report):
+    # the same bytes `certify-h3 --out` writes; every exact step of the
+    # chain (root conversion, subdivision, corner shifts) shows in them
+    ref = Path(__file__).resolve().parents[1] / "perfbench/ref/h3_cert.json"
+    assert (h3_report.certificate.to_json() + "\n").encode() == ref.read_bytes()
 
 
 def test_report_json_schema(h2_report):
