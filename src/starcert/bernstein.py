@@ -28,7 +28,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from sys import getsizeof
 from typing import Iterable, Iterator, Optional, Sequence
@@ -160,6 +160,12 @@ class BiPoly:
         return tuple(tuple(c.numerator * (d // c.denominator) for c in row)
                      for row in self.coeffs), d
 
+    @cached_property
+    def _integer_terms(self) -> tuple:
+        """The nonzero entries of ``_integers`` as (i, j, integer)."""
+        return tuple((i, j, c) for i, row in enumerate(self._integers[0])
+                     for j, c in enumerate(row) if c)
+
     def trim(self) -> "BiPoly":
         """Drop zero high-order rows/columns (the zero polynomial stays 1x1)."""
         rows = [list(r) for r in self.coeffs]
@@ -242,23 +248,30 @@ class BiPoly:
         return tuple(tuple(float(c) for c in row) for row in self.coeffs)
 
     def evaluate(self, p, x):
-        """Horner evaluation: an exact Fraction if p and x are int or
-        Fraction, else Horner over the coefficients rounded to float."""
+        """An exact Fraction if p and x are int or Fraction, summed over
+        the nonzero terms only; else Horner over the coefficients rounded
+        to float."""
         if not (isinstance(p, (int, Fraction)) and isinstance(x, (int, Fraction))):
             rows = [reduce(lambda r, c: r * x + c, reversed(row)) for row in self._floats]
             return reduce(lambda acc, r: acc * p + r, reversed(rows))
-        # homogenised integer Horner: sum a_ij pn^i pd^(m-i) xn^j xd^(n-j)
+        # homogenised: sum a_ij pn^i pd^(m-i) xn^j xd^(n-j) over nonzero a_ij
         (pn, pd), (xn, xd) = p.as_integer_ratio(), x.as_integer_ratio()
-        ints, den = self._integers
         m, n = self.bidegree
-        pw, xw = [pd ** k for k in range(m + 1)], [xd ** k for k in range(n + 1)]
-        acc = 0
-        for row, w in zip(reversed(ints), pw):
-            racc = 0
-            for c, v in zip(reversed(row), xw):
-                racc = racc * xn + c * v
-            acc = acc * pn + racc * w
-        return Fraction(acc, den * pw[m] * xw[n])
+        pw, xw = _homogeneous_powers(pn, pd, m), _homogeneous_powers(xn, xd, n)
+        acc = sum(c * pw[i] * xw[j] for i, j, c in self._integer_terms)
+        return Fraction(acc, self._integers[1] * pw[0] * xw[0])
+
+
+def _homogeneous_powers(a: int, b: int, m: int) -> list:
+    """[a^i b^(m-i) for i = 0..m], in about 3m products."""
+    powers = [1]
+    for _ in range(m):
+        powers.append(powers[-1] * b)
+    out, ai = [], 1
+    for bi in reversed(powers):
+        out.append(ai * bi)
+        ai *= a
+    return out
 
 
 # ======================================================================
@@ -467,24 +480,28 @@ def _retained_size(key: tuple, fused: tuple, scale: int) -> int:
 _AXIS_MAPS = _AxisMaps()
 
 
-def _axis_map(m: int, lo: Fraction, hi: Fraction) -> tuple[tuple, int]:
+def _axis_map(m: int, ln: int, ld: int, hn: int, hd: int) -> tuple[tuple, int]:
     """Integer matrix M and scale L q^m: M/(L q^m) maps the power
     coefficients of a degree-m polynomial in t to its Bernstein
-    coefficients over [lo, hi], with q = lcm(den lo, den hi), L = lcm of
-    the C(m, k).  By blossoming (Ramshaw 1989), coefficient j of t^k is
-    e_k(lo^(m-j), hi^j)/C(m, k): column k of a :func:`_pencil` row times
-    L/C(m, k).  Memoised in ``_AXIS_MAPS``."""
-    key = (m, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+    coefficients over [ln/ld, hn/hd] (both reduced, ld, hd > 0), with
+    q = lcm(ld, hd), L = lcm of the C(m, k).  By blossoming (Ramshaw 1989),
+    coefficient j of t^k is e_k(lo^(m-j), hi^j)/C(m, k): column k of a
+    :func:`_pencil` row times L/C(m, k).  Memoised in ``_AXIS_MAPS``."""
+    key = (m, ln, ld, hn, hd)
     entry = _AXIS_MAPS.get(key)
     if entry is None:
-        q = lcm(lo.denominator, hi.denominator)
+        q = lcm(ld, hd)
         big = lcm(*(comb(m, k) for k in range(m + 1)))
         weights = [big // comb(m, k) for k in range(m + 1)]
-        rows = _pencil(m, q, lo.numerator * (q // lo.denominator),
-                       q, hi.numerator * (q // hi.denominator))
+        rows = _pencil(m, q, ln * (q // ld), q, hn * (q // hd))
         entry = _AXIS_MAPS.put(key, tuple(tuple(map(mul, r, weights)) for r in rows),
                                big * q ** m)
     return entry[0], entry[1]
+
+
+def _interval_ints(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
+    """(lo num, lo den, hi num, hi den), the ends of an axis as integers."""
+    return lo.as_integer_ratio() + hi.as_integer_ratio()
 
 
 def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
@@ -497,8 +514,8 @@ def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
     """
     m, n = poly.bidegree
     ints, den = poly._integers
-    mp, dp = _axis_map(m, box.p_lo, box.p_hi)
-    mx, dx = _axis_map(n, box.x_lo, box.x_hi)
+    mp, dp = _axis_map(m, *_interval_ints(box.p_lo, box.p_hi))
+    mx, dx = _axis_map(n, *_interval_ints(box.x_lo, box.x_hi))
     return BernsteinPatch(box, _x_stage(_p_stage(ints, mp), mx), den * dp * dx)
 
 
@@ -690,7 +707,19 @@ class PositivityCertificate:
     @classmethod
     def from_json_doc(cls, doc: dict,
                       corner_rule: Optional[CornerRule] = None) -> "PositivityCertificate":
-        return cls(_node_from_dict(doc), corner_rule)
+        # box ends repeat across nodes: parse each distinct string once;
+        # anything else goes to parse_rational, which raises ValueError
+        parsed: dict = {}
+
+        def parse(text):
+            if type(text) is not str:
+                return parse_rational(text)
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = parse_rational(text)
+            return value
+
+        return cls(_node_from_dict(doc, parse), corner_rule)
 
     @classmethod
     def from_json(cls, text: str,
@@ -716,21 +745,22 @@ def _node_to_dict(node: CertificateNode) -> dict:
     return doc
 
 
-def _rational_list(doc: dict, key: str, count: int) -> tuple:
+def _rational_list(doc: dict, key: str, count: int, parse) -> tuple:
     values = doc[key]
     if not isinstance(values, list) or len(values) != count:
         raise ValueError(f"certificate node {key!r} must be a list of "
                          f"{count} rationals")
-    return tuple(parse_rational(v) for v in values)
+    return tuple(map(parse, values))
 
 
-def _node_from_dict(doc: dict) -> CertificateNode:
-    """One node of a certificate document; ValueError on any malformed part."""
+def _node_from_dict(doc: dict, parse) -> CertificateNode:
+    """One node of a certificate document, its rationals read by ``parse``;
+    ValueError on any malformed part."""
     if not isinstance(doc, dict):
         raise ValueError(f"certificate node must be an object, "
                          f"got {type(doc).__name__}")
     try:
-        box = Box(*_rational_list(doc, "box", 4))
+        box = Box(*_rational_list(doc, "box", 4, parse))
         status = doc["status"]
         if status not in (STATUS_POSITIVE, STATUS_SUBDIVIDED, STATUS_CORNER, STATUS_FAILED):
             raise ValueError(f"unknown node status {status!r}")
@@ -740,11 +770,11 @@ def _node_from_dict(doc: dict) -> CertificateNode:
         node = CertificateNode(
             box=box,
             status=status,
-            min_bcoeff=parse_rational(doc["min_bcoeff"]),
-            max_bcoeff=parse_rational(doc["max_bcoeff"]),
-            children=tuple(_node_from_dict(c) for c in children),
-            margin=parse_rational(doc["margin"]) if "margin" in doc else None,
-            witness=_rational_list(doc, "witness", 3) if "witness" in doc else None,
+            min_bcoeff=parse(doc["min_bcoeff"]),
+            max_bcoeff=parse(doc["max_bcoeff"]),
+            children=tuple(_node_from_dict(c, parse) for c in children),
+            margin=parse(doc["margin"]) if "margin" in doc else None,
+            witness=_rational_list(doc, "witness", 3, parse) if "witness" in doc else None,
         )
     except KeyError as exc:
         raise ValueError(f"certificate node missing field {exc}") from exc
@@ -842,6 +872,15 @@ def bound_above(poly: BiPoly, box: Box = UNIT_BOX, depth: int = 0) -> Fraction:
 # independent re-validation
 # ======================================================================
 
+def _dyadic_point(a: int, w: int, q: int, k: int, t: int) -> tuple[int, int]:
+    """Point t of level k on the axis [a/q, (a + w)/q], the root's ends
+    over a common denominator: (a 2^k + t w) / (q 2^k), as a reduced
+    (numerator, denominator)."""
+    num, den = (a << k) + t * w, q << k
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                       box: Box) -> bool:
     """Re-verify every claim in a certificate from scratch.
@@ -855,6 +894,12 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     share their p-interval, so each distinct p-interval is mapped once per
     call and each node applies only its own x-axis map.
 
+    The walk runs on integers.  A node at level k is the dyadic cell
+    (i, j) of ``box``; its ends are points of level k on each axis, so a
+    child's recorded box is compared with its quadrant as integer
+    (numerator, denominator) pairs, and a recomputed enclosure with the
+    recorded one by cross-multiplication.
+
     Returns True iff the certificate is structurally sound **and** proves
     positivity (no failed leaves).  Structural lies - a root box other than
     ``box``, a tampered bound, status, box or margin, or a field or child
@@ -864,11 +909,18 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
         raise CertificateError(f"root box {cert.root.box} does not match {box}")
     ints, den = poly._integers
     m, n = poly.bidegree
-    # (p_lo, p_hi) as four integers -> (mp * ints, den * dp); integer keys
-    # hash without the modular pow a Fraction's hash costs
+    # each axis as integers a, w, q: its ends are a/q and (a + w)/q
+    axes = []
+    for lo, hi in ((box.p_lo, box.p_hi), (box.x_lo, box.x_hi)):
+        q = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (q // lo.denominator)
+        axes.append((a, hi.numerator * (q // hi.denominator) - a, q))
+    p_axis, x_axis = axes
+    # (level, p index) -> (mp * ints, den * dp)
     p_stages: dict = {}
 
-    def walk(node: CertificateNode) -> bool:
+    def walk(node: CertificateNode, k: int, i: int, j: int,
+             p_ends: tuple, x_ends: tuple) -> bool:
         # only a corner leaf records a margin, only a failed leaf a witness
         if node.margin is not None and node.status != STATUS_CORNER:
             raise CertificateError(f"{node.status} node on {node.box} "
@@ -876,27 +928,27 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
         if node.witness is not None and node.status != STATUS_FAILED:
             raise CertificateError(f"{node.status} node on {node.box} "
                                    f"records a witness")
-        b = node.box
-        key = (b.p_lo.numerator, b.p_lo.denominator,
-               b.p_hi.numerator, b.p_hi.denominator)
-        stage = p_stages.get(key)
+        stage = p_stages.get((k, i))
         if stage is None:
-            mp, dp = _axis_map(m, b.p_lo, b.p_hi)
-            stage = p_stages[key] = (_p_stage(ints, mp), den * dp)
-        mx, dx = _axis_map(n, b.x_lo, b.x_hi)
-        lo, hi = enclosure(BernsteinPatch(b, _x_stage(stage[0], mx), stage[1] * dx))
-        if lo != node.min_bcoeff or hi != node.max_bcoeff:
+            mp, dp = _axis_map(m, *p_ends)
+            stage = p_stages[k, i] = (_p_stage(ints, mp), den * dp)
+        mx, dx = _axis_map(n, *x_ends)
+        rows = _x_stage(stage[0], mx)
+        lo, hi, d = min(map(min, rows)), max(map(max, rows)), stage[1] * dx
+        rlo, rhi = node.min_bcoeff, node.max_bcoeff
+        if (lo * rlo.denominator != rlo.numerator * d
+                or hi * rhi.denominator != rhi.numerator * d):
             raise CertificateError(
                 f"enclosure mismatch on {node.box}: "
-                f"recomputed ({lo}, {hi}), recorded "
-                f"({node.min_bcoeff}, {node.max_bcoeff})")
+                f"recomputed ({Fraction(lo, d)}, {Fraction(hi, d)}), recorded "
+                f"({rlo}, {rhi})")
         if node.status == STATUS_POSITIVE:
             if node.children:
                 raise CertificateError("positive leaf must have no children")
             if lo <= 0:
                 raise CertificateError(
                     f"leaf on {node.box} claims positivity but min "
-                    f"coefficient is {lo}")
+                    f"coefficient is {Fraction(lo, d)}")
             return True
         if node.status == STATUS_CORNER:
             if node.children:
@@ -917,10 +969,22 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                     f"recorded {node.margin}")
             return True
         if node.status == STATUS_SUBDIVIDED:
-            if tuple(c.box for c in node.children) != node.box.quadrants():
+            # quadrant (s, t) is cell (2i + s, 2j + t) of level k + 1, in
+            # Box.quadrants order; its ends are those of the node or a midpoint
+            pm = _dyadic_point(*p_axis, k + 1, 2 * i + 1)
+            xm = _dyadic_point(*x_axis, k + 1, 2 * j + 1)
+            p_halves = ((2 * i, p_ends[:2] + pm), (2 * i + 1, pm + p_ends[2:]))
+            x_halves = ((2 * j, x_ends[:2] + xm), (2 * j + 1, xm + x_ends[2:]))
+            quads = [(ci, pe, cj, xe) for ci, pe in p_halves for cj, xe in x_halves]
+            children = node.children
+            if len(children) != 4 or any(
+                    _interval_ints(c.box.p_lo, c.box.p_hi) != pe
+                    or _interval_ints(c.box.x_lo, c.box.x_hi) != xe
+                    for c, (_, pe, _, xe) in zip(children, quads)):
                 raise CertificateError(
                     f"children of {node.box} are not its quadrants")
-            return all([walk(child) for child in node.children])
+            return all([walk(c, k + 1, ci, cj, pe, xe)
+                        for c, (ci, pe, cj, xe) in zip(children, quads)])
         if node.status == STATUS_FAILED:
             if node.children:
                 raise CertificateError("failed leaf must have no children")
@@ -939,4 +1003,5 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
             return False
         raise CertificateError(f"unknown node status {node.status!r}")
 
-    return walk(cert.root)
+    return walk(cert.root, 0, 0, 0, _interval_ints(box.p_lo, box.p_hi),
+                _interval_ints(box.x_lo, box.x_hi))

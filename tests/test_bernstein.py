@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -601,6 +602,103 @@ def test_check_rejects_failed_leaf_with_children():
     with pytest.raises(CertificateError, match="failed leaf must have no children"):
         check_certificate(POSITIVE_POLY, PositivityCertificate.from_json_doc(doc),
                           UNIT_BOX)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, boxes, st.integers(1, 3), st.sampled_from(["move", "swap", "drop"]),
+       st.integers(0, 10 ** 6), st.integers(0, 3), st.integers(1, 3),
+       st.sampled_from([2, -2, 3, -3]))
+# the root's last child dropped: pairing children with quadrants alone
+# would not notice
+@example(POSITIVE_POLY, UNIT_BOX, 2, "drop", 0, 3, 1, 2)
+def test_box_tampering_anywhere_is_rejected(f, box, depth, kind, pick, k, offset,
+                                            divisor):
+    doc = certify_positive(f, box, depth).to_json_doc()
+    nodes = list(_node_docs(doc))
+    parents = [node for node in nodes if node["children"]]
+    if not parents:
+        kind = "move"
+    pool = nodes if kind == "move" else parents
+    node = pool[pick % len(pool)]
+    if kind == "move":
+        # end k to a dyadic point of the next level, or off the dyadic grid;
+        # a shift of less than the width keeps the box a box
+        lo, hi = F(node["box"][k & ~1]), F(node["box"][k | 1])
+        node["box"][k] = str(F(node["box"][k]) + (hi - lo) / divisor)
+    elif kind == "swap":
+        kids = node["children"]
+        kids[k], kids[(k + offset) % 4] = kids[(k + offset) % 4], kids[k]
+    else:
+        node["children"].pop(k)
+    message = ("root box" if node is doc and kind == "move"
+               else "are not its quadrants")
+    with pytest.raises(CertificateError, match=message):
+        check_certificate(f, PositivityCertificate.from_json_doc(doc), box)
+
+
+def _raise_max_bcoeff(doc):
+    node = doc["children"][0]["children"][3]
+    node["max_bcoeff"] = str(F(node["max_bcoeff"]) + F(1, 7))
+
+
+def _claim_positivity(doc):
+    doc["status"] = STATUS_POSITIVE
+    del doc["witness"]
+
+
+def _swap_middle_children(doc):
+    kids = doc["children"]
+    kids[1], kids[2] = kids[2], kids[1]
+
+
+@pytest.mark.parametrize("box, depth, mutate, text", [
+    (UNIT_BOX, 3, _raise_max_bcoeff,
+     "enclosure mismatch on [1/4,1/2]x[1/4,1/2]: recomputed (27/100, 51/50), "
+     "recorded (27/100, 407/350)"),
+    (UNIT_BOX, 0, _claim_positivity,
+     "leaf on [0,1]x[0,1] claims positivity but min coefficient is -12/25"),
+    (Box(F(-2, 3), F(4, 5), F(-1, 7), F(5, 3)), 2, _swap_middle_children,
+     "children of [-2/3,4/5]x[-1/7,5/3] are not its quadrants"),
+])
+def test_checker_messages_keep_their_full_text(box, depth, mutate, text):
+    doc = certify_positive(POSITIVE_POLY, box, depth).to_json_doc()
+    mutate(doc)
+    with pytest.raises(CertificateError, match=f"^{re.escape(text)}$"):
+        check_certificate(POSITIVE_POLY, PositivityCertificate.from_json_doc(doc),
+                          box)
+
+
+def test_check_certificate_with_maps_larger_than_the_memo(monkeypatch):
+    # at p-degree 128 the map over [1/2, 1] is larger than the memo's
+    # limit: the memo hands it back without keeping it, so the check must
+    # not count on a hit, and may leave behind only what the memo keeps
+    memo = bernstein._AxisMaps()
+    monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
+    f = BiPoly.from_terms([(128, 0, F(1, 1000)), (2, 0, 4), (1, 0, -4),
+                           (0, 0, F(201, 200)), (0, 1, F(1, 100))])
+    cert = certify_positive(f, UNIT_BOX, max_depth=1)
+    assert cert.succeeded and len(cert.root.children) == 4
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert check_certificate(f, cert, UNIT_BOX)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    big = (128, 1, 2, 1, 1)
+    assert big not in memo._maps
+    bernstein._axis_map(*big)
+    assert big not in memo._maps
+    assert 0 < memo.bytes <= bernstein._AXIS_CACHE_BYTES
+    assert grown <= bernstein._AXIS_CACHE_BYTES + 100 * len(memo._maps)
+    doc = cert.to_json_doc()
+    last = doc["children"][3]
+    last["max_bcoeff"] = str(F(last["max_bcoeff"]) + F(1, 10 ** 9))
+    with pytest.raises(CertificateError,
+                       match=re.escape("enclosure mismatch on [1/2,1]x[1/2,1]")):
+        check_certificate(f, PositivityCertificate.from_json_doc(doc), UNIT_BOX)
 
 
 # ---------------------------------------------------------------------------
