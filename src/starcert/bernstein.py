@@ -346,9 +346,16 @@ class Box:
     x_hi: Fraction
 
     def __post_init__(self):
+        ends = []
         for name in ("p_lo", "p_hi", "x_lo", "x_hi"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if not (self.p_lo < self.p_hi and self.x_lo < self.x_hi):
+            end = getattr(self, name)
+            if type(end) is not Fraction:
+                end = as_fraction(end)
+                object.__setattr__(self, name, end)
+            ends.append(end.as_integer_ratio())
+        # denominators are positive, so lo < hi compares cross-products
+        (pln, pld), (phn, phd), (xln, xld), (xhn, xhd) = ends
+        if not (pln * phd < phn * pld and xln * xhd < xhn * xld):
             raise ValueError(f"degenerate box {self}")
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -933,8 +940,8 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
             mp, dp = _axis_map(m, *p_ends)
             stage = p_stages[k, i] = (_p_stage(ints, mp), den * dp)
         mx, dx = _axis_map(n, *x_ends)
-        rows = _x_stage(stage[0], mx)
-        lo, hi, d = min(map(min, rows)), max(map(max, rows)), stage[1] * dx
+        flat = [sum(map(mul, r, c)) for r in stage[0] for c in mx]
+        lo, hi, d = min(flat), max(flat), stage[1] * dx
         rlo, rhi = node.min_bcoeff, node.max_bcoeff
         if (lo * rlo.denominator != rlo.numerator * d
                 or hi * rhi.denominator != rhi.numerator * d):

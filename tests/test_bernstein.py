@@ -197,6 +197,21 @@ boxes = st.builds(
     st.builds(F, st.integers(1, 9), st.integers(1, 9)))
 
 
+@given(st.lists(st.one_of(rationals, rationals.map(str), st.integers(-3, 3)),
+                min_size=4, max_size=4))
+def test_box_is_degenerate_iff_an_axis_is_empty(ends):
+    # ends come as Fractions, strings or ints; the check compares integer
+    # cross-products, which must order them as Fractions do
+    p_lo, p_hi, x_lo, x_hi = map(F, ends)
+    if p_lo < p_hi and x_lo < x_hi:
+        box = Box(*ends)
+        assert box.as_tuple() == (p_lo, p_hi, x_lo, x_hi)
+        assert all(type(e) is Fraction for e in box.as_tuple())
+    else:
+        with pytest.raises(ValueError, match=r"^degenerate box \["):
+            Box(*ends)
+
+
 def _skewed_poly(high, low, high_on_p):
     m, n = (high, low) if high_on_p else (low, high)
     return st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1),

@@ -1,5 +1,7 @@
 """End-to-end pipelines and their reports."""
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import tracemalloc
@@ -176,6 +178,34 @@ def test_a4_coarse_breaks_ties_like_argmax(monkeypatch):
     assert verify._a4_coarse(24) == ref_a4_coarse(24)
 
 
+def _disk(rng, n, modulus):
+    """n points of the closed unit disk, all of modulus ``modulus`` unless
+    it is None."""
+    r = rng.uniform(0, 1, n) if modulus is None else np.full(n, modulus)
+    return r * np.exp(1j * rng.uniform(0, 2 * math.pi, n))
+
+
+def test_affine_splits_match_the_literal_kernels():
+    """rho enters only through c4 (eta only through c3), and the value is
+    affine in c4 (in c3)."""
+    rng = np.random.default_rng(DEFAULT_SEED)
+    n = 200
+    edges = (None, 0.0, 1.0)
+    for c1_end, gam_mod, eta_mod, rho_mod in itertools.product(edges, repeat=4):
+        c1 = rng.uniform(0, 1, n) if c1_end is None else np.full(n, c1_end)
+        gam, eta, rho = (_disk(rng, n, m) for m in (gam_mod, eta_mod, rho_mod))
+        p = verify._h3_param(c1, gam, eta, 0.0)
+        q = verify._h3_param(c1, gam, eta, 1.0) - p
+        literal = verify._h3_param_abs(c1, gam, eta, rho)
+        assert np.all(abs(np.abs(p + q * rho) - literal)
+                      <= 1e-12 * np.maximum(1, literal))
+        p = verify._a4(c1, gam, 0.0)
+        q = verify._a4(c1, gam, 1.0) - p
+        literal = verify._a4_abs(c1, gam, eta)
+        assert np.all(abs(np.abs(p + q * eta) - literal)
+                      <= 1e-12 * np.maximum(1, literal))
+
+
 def test_domination_samples_match_sequential_draws():
     rng = np.random.default_rng(DEFAULT_SEED)
     rounds = []
@@ -208,6 +238,27 @@ def test_lowered_majorant_fails_domination(monkeypatch, reduction, capsys):
     assert report.status == "failed" and report.details["failure"] == "oracle"
     assert main(["certify-h3", "--grid", "4"]) == 3
     assert "majorant_dominates_samples: False" in capsys.readouterr().out
+
+
+def test_broken_grid_kernel_fails_the_oracle(monkeypatch, capsys):
+    # a relative error of 1e-6 lifts the sampled maximum 1024 past the
+    # oracle's 1024 (1 + 1e-9), yet stays inside the majorant's margin;
+    # no exact step reads the kernel
+    exact = verify._h3_param
+    monkeypatch.setattr(verify, "_h3_param",
+                        lambda *args: exact(*args) * (1 + 1e-6))
+    report = verify_h3(grid=4)
+    d = report.details
+    for step in ("gap_is_target_minus_endpoint_y1", "certificate_succeeded",
+                 "certificate_revalidated", "ycoef_nonnegative",
+                 "capped_between_endpoints", "majorant_dominates_samples"):
+        assert d[step] is True, step
+    assert d["endpoint_y0_bernstein_max"] == "910"
+    assert d["sharpness_w_z3_scaled"] == "-1024"
+    assert d["oracle_max_scaled"] > 1024 * (1 + 1e-9)
+    assert report.status == "failed" and d["failure"] == "oracle"
+    assert main(["certify-h3", "--grid", "4"]) == 3
+    assert "failure: oracle" in capsys.readouterr().out
 
 
 def test_gap_must_be_target_minus_endpoint_y1(monkeypatch, reduction, capsys):
@@ -309,11 +360,16 @@ def test_sample_counts_match_the_oracles(h2_report, h3_report):
 # memory: the oracles never hold a whole grid
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("oracle, ceiling_mb", [(max_a4, 8), (verify_h3, 4)])
+@pytest.mark.parametrize("oracle, ceiling_mb", [
+    (max_a4, 8), (verify_h3, 4),
+    # 44,928 (gamma, eta) points per c1: only a blocked P, Q stage passes
+    pytest.param(functools.partial(verify_h3, grid=24), 4, id="verify_h3_24-4")])
 def test_oracle_peak_allocation(oracle, ceiling_mb, h3_report):
     # tracemalloc counts numpy buffers; evaluated whole, the grids peaked
     # at about 90 MB (max_a4) and 7 MB (verify_h3), in blocks at 2.3 MB
-    # and 1.4 MB.  h3_report has filled the lazy caches.
+    # and 1.0 MB; at grid 24 verify_h3 peaks at 2.1 MB, and at 5.1 MB
+    # with its P, Q stage held whole per c1.  h3_report has filled the
+    # lazy caches.
     tracemalloc.start()
     try:
         oracle()
