@@ -879,15 +879,6 @@ def bound_above(poly: BiPoly, box: Box = UNIT_BOX, depth: int = 0) -> Fraction:
 # independent re-validation
 # ======================================================================
 
-def _dyadic_point(a: int, w: int, q: int, k: int, t: int) -> tuple[int, int]:
-    """Point t of level k on the axis [a/q, (a + w)/q], the root's ends
-    over a common denominator: (a 2^k + t w) / (q 2^k), as a reduced
-    (numerator, denominator)."""
-    num, den = (a << k) + t * w, q << k
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                       box: Box) -> bool:
     """Re-verify every claim in a certificate from scratch.
@@ -901,11 +892,12 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     share their p-interval, so each distinct p-interval is mapped once per
     call and each node applies only its own x-axis map.
 
-    The walk runs on integers.  A node at level k is the dyadic cell
-    (i, j) of ``box``; its ends are points of level k on each axis, so a
-    child's recorded box is compared with its quadrant as integer
-    (numerator, denominator) pairs, and a recomputed enclosure with the
-    recorded one by cross-multiplication.
+    The walk runs on integers.  Each node carries its own ends as reduced
+    (numerator, denominator) pairs.  Every box is a midpoint quadrisection,
+    so the quadrant ends of a subdivided node [ln/ld, hn/hd] follow from
+    one exact midpoint per axis, (ln hd + hn ld) / (2 ld hd) reduced by one
+    gcd; the children's recorded ends are compared with them as integers,
+    and a recomputed enclosure with the recorded one by cross-multiplication.
 
     Returns True iff the certificate is structurally sound **and** proves
     positivity (no failed leaves).  Structural lies - a root box other than
@@ -916,18 +908,10 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
         raise CertificateError(f"root box {cert.root.box} does not match {box}")
     ints, den = poly._integers
     m, n = poly.bidegree
-    # each axis as integers a, w, q: its ends are a/q and (a + w)/q
-    axes = []
-    for lo, hi in ((box.p_lo, box.p_hi), (box.x_lo, box.x_hi)):
-        q = lcm(lo.denominator, hi.denominator)
-        a = lo.numerator * (q // lo.denominator)
-        axes.append((a, hi.numerator * (q // hi.denominator) - a, q))
-    p_axis, x_axis = axes
-    # (level, p index) -> (mp * ints, den * dp)
+    # p-interval ends -> (mp * ints, den * dp)
     p_stages: dict = {}
 
-    def walk(node: CertificateNode, k: int, i: int, j: int,
-             p_ends: tuple, x_ends: tuple) -> bool:
+    def walk(node: CertificateNode, p_ends: tuple, x_ends: tuple) -> bool:
         # only a corner leaf records a margin, only a failed leaf a witness
         if node.margin is not None and node.status != STATUS_CORNER:
             raise CertificateError(f"{node.status} node on {node.box} "
@@ -935,10 +919,10 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
         if node.witness is not None and node.status != STATUS_FAILED:
             raise CertificateError(f"{node.status} node on {node.box} "
                                    f"records a witness")
-        stage = p_stages.get((k, i))
+        stage = p_stages.get(p_ends)
         if stage is None:
             mp, dp = _axis_map(m, *p_ends)
-            stage = p_stages[k, i] = (_p_stage(ints, mp), den * dp)
+            stage = p_stages[p_ends] = (_p_stage(ints, mp), den * dp)
         mx, dx = _axis_map(n, *x_ends)
         flat = [sum(map(mul, r, c)) for r in stage[0] for c in mx]
         lo, hi, d = min(flat), max(flat), stage[1] * dx
@@ -976,22 +960,23 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                     f"recorded {node.margin}")
             return True
         if node.status == STATUS_SUBDIVIDED:
-            # quadrant (s, t) is cell (2i + s, 2j + t) of level k + 1, in
-            # Box.quadrants order; its ends are those of the node or a midpoint
-            pm = _dyadic_point(*p_axis, k + 1, 2 * i + 1)
-            xm = _dyadic_point(*x_axis, k + 1, 2 * j + 1)
-            p_halves = ((2 * i, p_ends[:2] + pm), (2 * i + 1, pm + p_ends[2:]))
-            x_halves = ((2 * j, x_ends[:2] + xm), (2 * j + 1, xm + x_ends[2:]))
-            quads = [(ci, pe, cj, xe) for ci, pe in p_halves for cj, xe in x_halves]
+            # the halves of each axis, split at its reduced midpoint, paired
+            # in Box.quadrants order
+            halves = []
+            for ln, ld, hn, hd in (p_ends, x_ends):
+                num, mden = ln * hd + hn * ld, 2 * ld * hd
+                g = gcd(num, mden)
+                mid = (num // g, mden // g)
+                halves.append(((ln, ld) + mid, mid + (hn, hd)))
+            quads = [(pe, xe) for pe in halves[0] for xe in halves[1]]
             children = node.children
             if len(children) != 4 or any(
                     _interval_ints(c.box.p_lo, c.box.p_hi) != pe
                     or _interval_ints(c.box.x_lo, c.box.x_hi) != xe
-                    for c, (_, pe, _, xe) in zip(children, quads)):
+                    for c, (pe, xe) in zip(children, quads)):
                 raise CertificateError(
                     f"children of {node.box} are not its quadrants")
-            return all([walk(c, k + 1, ci, cj, pe, xe)
-                        for c, (ci, pe, cj, xe) in zip(children, quads)])
+            return all([walk(c, pe, xe) for c, (pe, xe) in zip(children, quads)])
         if node.status == STATUS_FAILED:
             if node.children:
                 raise CertificateError("failed leaf must have no children")
@@ -1010,5 +995,5 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
             return False
         raise CertificateError(f"unknown node status {node.status!r}")
 
-    return walk(cert.root, 0, 0, 0, _interval_ints(box.p_lo, box.p_hi),
+    return walk(cert.root, _interval_ints(box.p_lo, box.p_hi),
                 _interval_ints(box.x_lo, box.x_hi))

@@ -66,6 +66,18 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _report(claim: str, bound: Fraction, details: dict, exact: bool,
+            floats: bool, **extra) -> VerificationReport:
+    """The verdict of a pipeline: any failed exact step is a
+    ``certification`` failure; with every exact step holding, a failed
+    float check is an ``oracle`` failure."""
+    failure = "certification" if not exact else None if floats else "oracle"
+    return VerificationReport(
+        claim=claim, bound=bound,
+        status="verified" if failure is None else "failed",
+        details={**details, "failure": failure}, **extra)
+
+
 # ---------------------------------------------------------------------------
 # |H2(2)| <= 1/4
 # ---------------------------------------------------------------------------
@@ -127,7 +139,6 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     _within_budget(_h2_samples(grid))
     import numpy as np
     details: dict = {}
-    failure = None
 
     # --- exact sign facts on the slice polynomials -----------------------
     A, B, C, D, g1 = _h2_slice(BiPoly.var_p())
@@ -147,10 +158,8 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     # --- sharpness -------------------------------------------------------
     witness = hankel2(schwarz_to_coeffs((0, 1, 0, 0)))
     details["sharpness_w_z2"] = format_rational(witness)
-    sharp_ok = witness == Fraction(-1, 4)
-
-    if not (identity_ok and cases_ok and decreasing and endpoints_ok and sharp_ok):
-        failure = "certification"
+    exact = (identity_ok and cases_ok and decreasing and endpoints_ok
+             and witness == Fraction(-1, 4))
 
     # --- float oracle ----------------------------------------------------
     gam = _polar_grid(grid // 3 + 1, grid)
@@ -171,16 +180,12 @@ def verify_h2(grid: int = 32) -> VerificationReport:
         samples += vals.size
     details["oracle_samples"] = samples
     details["oracle_max"] = observed
-    if not (samples >= 10 ** 5 and observed <= 0.25 + 1e-9):
-        failure = failure or "oracle"
+    floats = samples >= 10 ** 5 and observed <= 0.25 + 1e-9
 
-    return VerificationReport(
-        claim="second Hankel determinant bound |H2(2)| <= 1/4 on the "
-              "starlike class with target (1+z/2)^2, sharp at w(z) = z^2",
-        bound=Fraction(1, 4),
-        status="verified" if failure is None else "failed",
-        details={**details, "failure": failure},
-    )
+    return _report(
+        "second Hankel determinant bound |H2(2)| <= 1/4 on the "
+        "starlike class with target (1+z/2)^2, sharp at w(z) = z^2",
+        Fraction(1, 4), details, exact, floats)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +279,16 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     # the certified polynomial is the gap the majorant leaves below 1024
     gap_ok = red.gap == MAJORANT_TARGET - red.endpoint_y1
     details["gap_is_target_minus_endpoint_y1"] = gap_ok
-    failure = None if gap_ok else "certification"
 
     # the corner box [0, 1/8]^2 appears at depth 3, which closes the tree
     cert = certify_positive(red.gap, UNIT_BOX, 3, CornerRule(0, 0))
     details["certificate_leaves"] = len(cert.leaves())
     details["certificate_succeeded"] = cert.succeeded
-    if not cert.succeeded:
-        failure = failure or "certification"
     recheck = check_certificate(red.gap, cert, UNIT_BOX)
     details["certificate_revalidated"] = recheck
-    if not recheck:
-        failure = failure or "certification"
 
     y0_max = bound_above(red.endpoint_y0, UNIT_BOX, 0)
     details["endpoint_y0_bernstein_max"] = format_rational(y0_max)
-    if y0_max > MAJORANT_TARGET:
-        failure = failure or "certification"
 
     # --- exact steps H <= H1 <= max(endpoint_y1, endpoint_y0) ----------
     ycoef_ok = enclosure(to_bernstein(red.ycoef, UNIT_BOX))[0] >= 0
@@ -298,14 +296,12 @@ def verify_h3(grid: int = 12) -> VerificationReport:
                    and red.endpoint_y0 == red.base + red.ycoef + red.comp)
     details["ycoef_nonnegative"] = ycoef_ok
     details["capped_between_endpoints"] = endpoint_ok
-    if not (ycoef_ok and endpoint_ok):
-        failure = failure or "certification"
 
     # --- sharpness -----------------------------------------------------
     sharp = h3_schwarz_poly((0, 0, 1, 0))
     details["sharpness_w_z3_scaled"] = format_rational(sharp)
-    if sharp != -MAJORANT_TARGET:
-        failure = failure or "certification"
+    exact = (gap_ok and cert.succeeded and recheck and y0_max <= MAJORANT_TARGET
+             and ycoef_ok and endpoint_ok and sharp == -MAJORANT_TARGET)
 
     # --- float oracle ----------------------------------------------------
     # the value is affine in rho: per c1 and block of (gamma, eta) points,
@@ -331,8 +327,6 @@ def verify_h3(grid: int = 12) -> VerificationReport:
                 samples += vals.size
     details["oracle_samples"] = samples
     details["oracle_max_scaled"] = observed
-    if not (samples >= 10 ** 4 and observed <= MAJORANT_TARGET * (1 + 1e-9)):
-        failure = failure or "oracle"
 
     # majorant domination on random samples
     c1, g, e, r = _domination_samples(DEFAULT_SEED)
@@ -340,18 +334,14 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     maj = red.majorant(c1, np.abs(g), np.abs(e))
     dominated = not bool(np.any(val > maj + 1e-9))
     details["majorant_dominates_samples"] = dominated
-    if not dominated:
-        failure = failure or "oracle"
+    floats = (samples >= 10 ** 4 and observed <= MAJORANT_TARGET * (1 + 1e-9)
+              and dominated)
 
-    bound = Fraction(max(MAJORANT_TARGET, y0_max), HANKEL3_SCALE)
-    return VerificationReport(
-        claim="third Hankel determinant bound |H3(1)| <= 1/9 on the "
-              "starlike class with target (1+z/2)^2, sharp at w(z) = z^3",
-        bound=bound,
-        status="verified" if failure is None else "failed",
-        details={**details, "failure": failure},
-        certificate=cert,
-    )
+    return _report(
+        "third Hankel determinant bound |H3(1)| <= 1/9 on the "
+        "starlike class with target (1+z/2)^2, sharp at w(z) = z^3",
+        Fraction(max(MAJORANT_TARGET, y0_max), HANKEL3_SCALE), details, exact,
+        floats, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,42 @@ def test_box_tampering_anywhere_is_rejected(f, box, depth, kind, pick, k, offset
         check_certificate(f, PositivityCertificate.from_json_doc(doc), box)
 
 
+VALLEY_POLY = ((BiPoly.var_p() - F(1, 3)) ** 2 + (BiPoly.var_x() - F(2, 3)) ** 2
+               + F(1, 100))
+SKEWED_BOX = Box(F(-2, 3), F(4, 5), F(-1, 7), F(5, 3))
+
+
+@pytest.mark.parametrize("box, parent", [
+    (UNIT_BOX, "[0,1/2]x[0,1/2]"),
+    (SKEWED_BOX, "[1/15,4/5]x[-1/7,16/21]"),
+])
+def test_cousins_swapped_across_parents_are_rejected(box, parent):
+    # each parent still has four children of its own level, so only the
+    # ends handed down from one parent to the next catch the swap
+    doc = certify_positive(VALLEY_POLY, box, 4).to_json_doc()
+    first, second = [kid for kid in doc["children"] if kid["children"]][:2]
+    a, b = first["children"], second["children"]
+    a[0], b[0] = b[0], a[0]
+    with pytest.raises(CertificateError,
+                       match=f"^{re.escape(f'children of {parent} are not its quadrants')}$"):
+        check_certificate(VALLEY_POLY, PositivityCertificate.from_json_doc(doc), box)
+
+
+@pytest.mark.parametrize("box", [UNIT_BOX, SKEWED_BOX])
+def test_check_maps_each_p_interval_once(monkeypatch, box):
+    # nodes in one column of the tree share their p-interval; a stage
+    # keyed per node or per (p, x) pair would convert each node again
+    cert = certify_positive(VALLEY_POLY, box, 4)
+    assert cert.root.depth() >= 4          # subdivided three times or more
+    nodes = list(_node_docs(cert.to_json_doc()))
+    calls = []
+    real = bernstein._p_stage
+    monkeypatch.setattr(bernstein, "_p_stage",
+                        lambda *args: calls.append(1) or real(*args))
+    assert check_certificate(VALLEY_POLY, cert, box)
+    assert len(calls) == len({tuple(n["box"][:2]) for n in nodes}) < len(nodes)
+
+
 def _raise_max_bcoeff(doc):
     node = doc["children"][0]["children"][3]
     node["max_bcoeff"] = str(F(node["max_bcoeff"]) + F(1, 7))

@@ -284,6 +284,23 @@ def test_h3_sharpness_is_an_exact_step(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_h3_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys):
+    # the scaled kernel alone fails the grid oracle (see
+    # test_broken_grid_kernel_fails_the_oracle); the wrong sharpness value
+    # fails an exact step at the same time, and that decides the verdict
+    exact = verify._h3_param
+    monkeypatch.setattr(verify, "_h3_param",
+                        lambda *args: exact(*args) * (1 + 1e-6))
+    monkeypatch.setattr(verify, "h3_schwarz_poly", lambda w: F(-1023))
+    report = verify_h3(grid=4)
+    d = report.details
+    assert d["oracle_max_scaled"] > 1024 * (1 + 1e-9)
+    assert d["sharpness_w_z3_scaled"] == "-1023"
+    assert report.status == "failed" and d["failure"] == "certification"
+    assert main(["certify-h3", "--grid", "4"]) == 2
+    assert "failure: certification" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("group, delta", [
     ("base", 1), ("ycoef", 1), ("ycoef", -1), ("y2coef", 1), ("comp", 1)])
 def test_corrupted_group_fails_capped_between_endpoints(monkeypatch, reduction,
@@ -333,6 +350,26 @@ def test_broken_slice_fails_verify_h2(monkeypatch, capsys, change, identity, cas
     assert report.status == "failed" and d["failure"] == "certification"
     assert main(["verify-h2"]) == 2
     assert "status: failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flip_c, failure, code", [
+    (False, "oracle", 3), (True, "certification", 2)])
+def test_h2_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys,
+                                                     flip_c, failure, code):
+    # a grid scaled by 1.5 samples gamma and eta outside the disk, which
+    # lifts the oracle's maximum far past 1/4 while no exact step reads it
+    grid = verify._polar_grid
+    monkeypatch.setattr(verify, "_polar_grid", lambda *args: grid(*args) * 1.5)
+    if flip_c:
+        monkeypatch.setattr(verify, "_h2_slice", _slice_with(
+            lambda A, B, C, D, g1: (A, B, -C, D, g1)))
+    report = verify_h2()
+    d = report.details
+    assert d["oracle_max"] > 0.7
+    assert d["envelope_identity_exact"] is not flip_c
+    assert report.status == "failed" and d["failure"] == failure
+    assert main(["verify-h2"]) == code
+    assert f"failure: {failure}" in capsys.readouterr().out
 
 
 def test_h2_envelope_must_decrease(monkeypatch):
