@@ -372,16 +372,9 @@ class Box:
     def x_width(self) -> Fraction:
         return self.x_hi - self.x_lo
 
-    def midpoints(self) -> tuple[Fraction, Fraction]:
-        return (self.p_lo + self.p_hi) / 2, (self.x_lo + self.x_hi) / 2
-
-    def corners(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return ((self.p_lo, self.x_lo), (self.p_lo, self.x_hi),
-                (self.p_hi, self.x_lo), (self.p_hi, self.x_hi))
-
     def quadrants(self) -> tuple["Box", "Box", "Box", "Box"]:
         """Midpoint quadrisection in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi)."""
-        pm, xm = self.midpoints()
+        pm, xm = (self.p_lo + self.p_hi) / 2, (self.x_lo + self.x_hi) / 2
         return (Box(self.p_lo, pm, self.x_lo, xm),
                 Box(self.p_lo, pm, xm, self.x_hi),
                 Box(pm, self.p_hi, self.x_lo, xm),
@@ -616,7 +609,7 @@ def corner_split(poly: BiPoly, box: Box,
     the quadratic lower bound cannot hold and the rule is inapplicable).
     """
     cp, cx = as_fraction(corner[0]), as_fraction(corner[1])
-    if (cp, cx) not in box.corners():
+    if cp not in (box.p_lo, box.p_hi) or cx not in (box.x_lo, box.x_hi):
         return None
     m, n = poly.bidegree
     rows, den = poly._integers

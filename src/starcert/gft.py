@@ -23,19 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .rationals import as_fraction
 
 __all__ = [
-    "SchwarzCoeffs", "CaratheodoryCoeffs", "ClassCoeffs", "ParamTriple",
     "schwarz_to_coeffs", "caratheodory_from_schwarz", "caratheodory_to_coeffs",
     "lz_parametrize", "schwarz_parametrize",
     "hankel2", "hankel3", "h3_schwarz_poly",
     "y_max", "y_max_detail", "YMaxDetail",
     "JanowskiParams", "DiskReport", "janowski_check",
     "PhiScanReport", "ma_minda_scan",
-    "H2Terms", "h2_terms", "h2_envelope",
+    "h2_terms", "h2_envelope",
 ]
 
 
@@ -56,41 +54,6 @@ def _within_budget(samples: int) -> None:
                          f"the budget of {MAX_SAMPLES}")
 
 
-# ---------------------------------------------------------------------------
-# coefficient tuples
-# ---------------------------------------------------------------------------
-
-class SchwarzCoeffs(NamedTuple):
-    """First four Taylor coefficients of a Schwarz function w."""
-    c1: object
-    c2: object
-    c3: object
-    c4: object
-
-
-class CaratheodoryCoeffs(NamedTuple):
-    """First four coefficients of p(z) = 1 + p1 z + p2 z^2 + ... with Re p > 0."""
-    p1: object
-    p2: object
-    p3: object
-    p4: object
-
-
-class ClassCoeffs(NamedTuple):
-    """Coefficients a2..a5 of a normalized class member f(z) = z + a2 z^2 + ..."""
-    a2: object
-    a3: object
-    a4: object
-    a5: object
-
-
-class ParamTriple(NamedTuple):
-    """A point (gamma, eta, rho) of the closed unit tridisk."""
-    gamma: object
-    eta: object
-    rho: object
-
-
 def _exact_div(value, n: int):
     """value / n, kept exact (Fraction) when value is int or Fraction.
 
@@ -101,11 +64,6 @@ def _exact_div(value, n: int):
     if isinstance(value, (int, Fraction)):
         return Fraction(value, n)
     return value / n
-
-
-def _conj(v):
-    # Fraction/int/float/complex all implement conjugate()
-    return v.conjugate()
 
 
 def _abs2(v):
@@ -124,7 +82,7 @@ def _check_unit(name: str, v) -> None:
 # coefficient maps
 # ---------------------------------------------------------------------------
 
-def schwarz_to_coeffs(c: SchwarzCoeffs | tuple) -> ClassCoeffs:
+def schwarz_to_coeffs(c: tuple) -> tuple:
     """Class coefficients a2..a5 of the member driven by the Schwarz data c.
 
     These are the closed forms obtained by expanding
@@ -137,20 +95,20 @@ def schwarz_to_coeffs(c: SchwarzCoeffs | tuple) -> ClassCoeffs:
     a4 = _exact_div(7 * c1 ** 3 + 16 * c1 * c2 + 8 * c3, 24)
     a5 = _exact_div(43 * c1 ** 4 + 184 * c1 * c1 * c2 + 72 * c2 * c2
                     + 176 * c1 * c3 + 96 * c4, 384)
-    return ClassCoeffs(a2, a3, a4, a5)
+    return a2, a3, a4, a5
 
 
-def caratheodory_from_schwarz(w: SchwarzCoeffs | tuple) -> CaratheodoryCoeffs:
+def caratheodory_from_schwarz(w: tuple) -> tuple:
     """Coefficients of p = (1 + w)/(1 - w) from the Schwarz coefficients of w."""
     w1, w2, w3, w4 = w
     p1 = 2 * w1
     p2 = 2 * (w2 + w1 * w1)
     p3 = 2 * (w3 + 2 * w1 * w2 + w1 ** 3)
     p4 = 2 * (w4 + 2 * w1 * w3 + w2 * w2 + 3 * w1 * w1 * w2 + w1 ** 4)
-    return CaratheodoryCoeffs(p1, p2, p3, p4)
+    return p1, p2, p3, p4
 
 
-def caratheodory_to_coeffs(p: CaratheodoryCoeffs | tuple):
+def caratheodory_to_coeffs(p: tuple) -> tuple:
     """(a2, a3, a4) expressed through Caratheodory coefficients.
 
     a5 has no printed p-form here, so only the first three are returned;
@@ -167,7 +125,7 @@ def caratheodory_to_coeffs(p: CaratheodoryCoeffs | tuple):
 # parametrizations of the coefficient bodies
 # ---------------------------------------------------------------------------
 
-def lz_parametrize(p1, t: ParamTriple | tuple) -> CaratheodoryCoeffs:
+def lz_parametrize(p1, t: tuple) -> tuple:
     """Caratheodory coefficients (p1..p4) from the disk parameters (gamma, eta, rho).
 
     Standard parametrization of the Caratheodory coefficient body: with
@@ -197,11 +155,11 @@ def lz_parametrize(p1, t: ParamTriple | tuple) -> CaratheodoryCoeffs:
                     + s * gamma * (p1 * p1 * (gamma * gamma - 3 * gamma + 3)
                                    + 4 * gamma)
                     - 4 * s * g2 * (p1 * (gamma - 1) * eta
-                                    + _conj(gamma) * eta * eta - e2 * rho), 8)
-    return CaratheodoryCoeffs(p1, p2, p3, p4)
+                                    + gamma.conjugate() * eta * eta - e2 * rho), 8)
+    return p1, p2, p3, p4
 
 
-def schwarz_parametrize(c1, t: ParamTriple | tuple) -> SchwarzCoeffs:
+def schwarz_parametrize(c1, t: tuple) -> tuple:
     """Schwarz coefficients (c1..c4) from disk parameters, c1 in [0, 1].
 
         c2 = (1 - c1^2) gamma,
@@ -222,21 +180,22 @@ def schwarz_parametrize(c1, t: ParamTriple | tuple) -> SchwarzCoeffs:
     c2 = u * gamma
     c3 = u * (g2 * eta - c1 * gamma * gamma)
     c4 = u * (c1 * c1 * gamma ** 3
-              - g2 * (2 * c1 * gamma * eta + _conj(gamma) * eta * eta - e2 * rho))
-    return SchwarzCoeffs(c1, c2, c3, c4)
+              - g2 * (2 * c1 * gamma * eta + gamma.conjugate() * eta * eta
+                      - e2 * rho))
+    return c1, c2, c3, c4
 
 
 # ---------------------------------------------------------------------------
 # Hankel determinants
 # ---------------------------------------------------------------------------
 
-def hankel2(a: ClassCoeffs | tuple):
+def hankel2(a: tuple):
     """Second Hankel determinant H2(2) = a2 a4 - a3^2."""
     a2, a3, a4, _a5 = a
     return a2 * a4 - a3 * a3
 
 
-def hankel3(a: ClassCoeffs | tuple):
+def hankel3(a: tuple):
     """Third Hankel determinant
 
     H3(1) = a3 (a2 a4 - a3^2) - a4 (a4 - a2 a3) + a5 (a3 - a2^2).
@@ -247,7 +206,7 @@ def hankel3(a: ClassCoeffs | tuple):
             + a5 * (a3 - a2 * a2))
 
 
-def h3_schwarz_poly(c: SchwarzCoeffs | tuple):
+def h3_schwarz_poly(c: tuple):
     """The degree-six polynomial equal to 9216 * H3(1) in Schwarz coefficients.
 
         -61 c1^6 + 244 c1^4 c2 + 464 c1^3 c3 + 1088 c1 c2 c3
@@ -486,17 +445,6 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
 # the |H2(2)| envelope over the Caratheodory slice
 # ---------------------------------------------------------------------------
 
-class H2Terms(NamedTuple):
-    """Coefficients of H2(2) = A + B gamma + C gamma^2 + D (1 - |gamma|^2).
-
-    D is reported by magnitude (its phase is carried by eta, |eta| <= 1).
-    """
-    A: Fraction
-    B: Fraction
-    C: Fraction
-    D_mag: Fraction
-
-
 def _h2_slice(q) -> tuple:
     """(A, B, C, |D|, g1) at p1 = q, exact; ``q`` is a Fraction, or
     ``BiPoly.var_p()`` for the same formulas as polynomials in p1."""
@@ -508,12 +456,16 @@ def _h2_slice(q) -> tuple:
             (768 - 96 * q * q - 5 * q ** 4) * Fraction(1, 3072))
 
 
-def h2_terms(p1) -> H2Terms:
-    """Exact slice coefficients of H2(2) at fixed p1 in [0, 2]."""
+def h2_terms(p1) -> tuple:
+    """Exact slice coefficients (A, B, C, |D|) of
+    H2(2) = A + B gamma + C gamma^2 + D (1 - |gamma|^2) at fixed p1 in [0, 2].
+
+    D is reported by magnitude (its phase is carried by eta, |eta| <= 1).
+    """
     q = as_fraction(p1)
     if not 0 <= q <= 2:
         raise ValueError(f"p1 must lie in [0, 2], got {p1}")
-    return H2Terms(*_h2_slice(q)[:4])
+    return _h2_slice(q)[:4]
 
 
 def h2_envelope(p1) -> Fraction:

@@ -431,8 +431,8 @@ def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
     A coarse polar scan over (c1, gamma, eta) seeds a shrinking-window
     local refinement around the incumbent.  The closed-form single
     parameter family t (1 - t^2) - 7/24 t^3 (the |a4| value of the
-    degree-two Blaschke witness with parameter t) is maximized separately
-    by ternary search and reported for comparison; the two must agree.
+    degree-two Blaschke witness with parameter t) peaks at t = sqrt(8/31),
+    and is reported there for comparison; the two must agree.
     """
     if grid < 16:
         raise ValueError("grid must be >= 16")
@@ -465,16 +465,8 @@ def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
         w_r *= 0.65
         w_t *= 0.65
 
-    # closed-form family by ternary search on [0, 1]
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if a4_family(m1) < a4_family(m2):
-            lo = m1
-        else:
-            hi = m2
-    t_star = (lo + hi) / 2
+    # the family peaks where its derivative 1 - (31/8) t^2 vanishes
+    t_star = math.sqrt(8 / 31)
 
     return A4Search(value=val, c1=c1b, gamma=gb, eta=eb,
                     family_t=t_star, family_value=a4_family(t_star),

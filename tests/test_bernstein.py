@@ -409,6 +409,27 @@ def test_corner_split_geometry():
     assert all(i + j >= 3 for i, j, _ in split.tail)
 
 
+def test_corner_split_at_every_corner_of_a_non_unit_box():
+    # u = p - a and v = x - b recentre to u = +-s, v = +-t with s, t >= 0
+    # (+ at a low end, - at a high one), so the cross term and the cubes
+    # pick up the signs of their corner
+    box = Box(F(1, 3), F(1, 2), F(-1, 4), F(1, 5))
+    p, x = BiPoly.var_p(), BiPoly.var_x()
+    for a, sp in ((box.p_lo, 1), (box.p_hi, -1)):
+        for b, sx in ((box.x_lo, 1), (box.x_hi, -1)):
+            u, v = p - a, x - b
+            f = 5 * u ** 2 + 2 * u * v + 4 * v ** 2 + 40 * u ** 3 - 40 * v ** 3
+            split = corner_split(f, box, (a, b))
+            assert (split.quad_pp, split.quad_px, split.quad_xx) == (5, 2 * sp * sx, 4)
+            assert sorted(split.tail) == [(0, 3, -40 * sx), (3, 0, 40 * sp)]
+            assert split.half_width == F(9, 20)
+    # an end of one axis only is no corner, though f vanishes to second
+    # order there
+    for a, b in ((box.p_lo, F(0)), (F(2, 5), box.x_hi)):
+        f = 5 * (p - a) ** 2 + 4 * (x - b) ** 2
+        assert corner_split(f, box, (a, b)) is None
+
+
 def test_corner_split_requires_corner_of_box():
     box = Box(0, F(1, 8), 0, F(1, 8))
     assert corner_split(CORNER_DEMO, box, (F(1, 2), F(0))) is None

@@ -33,7 +33,7 @@ EXPECTED = [
       "  (A, B) = (1, 1/3): image disk center 3/4, radius 3/4 -> NOT inside": 1}),
     ("05_coefficient_maximum.py",
      {"max |a4| ~= 0.338667005   (3012732 samples)": 1,
-      "one-variable family: value 0.338667005 at t = 0.508000502": 1}),
+      "one-variable family: value 0.338667005 at t = 0.508000508": 1}),
 ]
 
 

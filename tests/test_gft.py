@@ -1,5 +1,6 @@
 """Coefficient maps, parametrizations, Y-function, Janowski and target scans."""
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -51,6 +52,17 @@ def test_h3_poly_is_scaled_hankel3():
     rng = random.Random(17)
     for _ in range(60):
         c = tuple(rand_frac(rng, den=9) for _ in range(4))
+        assert h3_schwarz_poly(c) == 9216 * hankel3(schwarz_to_coeffs(c))
+
+
+def test_h3_poly_identity_is_proven_on_a_product_grid():
+    # Give c_k weight k.  Then a_k has weight k - 1 in the Schwarz map, and
+    # every term of H3(1) and of h3_schwarz_poly has weight 6, so each side
+    # has degree at most 6, 3, 2 and 1 in c1, c2, c3 and c4.  A polynomial
+    # with those degree bounds that vanishes on a product of 7, 4, 3 and 2
+    # points is zero (vanish in c4 for fixed c1..c3, then in c3, ...), so
+    # agreement on this 168-point grid proves the identity.
+    for c in itertools.product(range(7), range(4), range(3), range(2)):
         assert h3_schwarz_poly(c) == 9216 * hankel3(schwarz_to_coeffs(c))
 
 

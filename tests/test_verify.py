@@ -115,6 +115,7 @@ def test_max_a4_search():
     assert res.c1 == pytest.approx(0.508001, abs=1e-3)
     assert res.family_value == pytest.approx(res.value, abs=1e-7)
     assert res.family_t == pytest.approx((8 / 31) ** 0.5, abs=1e-7)
+    assert res.family_t == math.sqrt(8 / 31)
     assert abs(res.gamma) <= 1 + 1e-12 and abs(res.eta) <= 1 + 1e-12
     assert res.samples > 10 ** 5
     assert res.samples == verify._a4_samples(24, 40)
