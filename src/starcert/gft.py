@@ -3,11 +3,11 @@
 This module collects the algebraic ingredients used by the verification
 pipelines:
 
-* maps from Schwarz-function coefficients ``c = (c1, c2, c3, c4)`` to the
-  class coefficients ``a2..a5`` and to Caratheodory coefficients
-  ``p1..p4``;
-* the classical parametrizations of those coefficient bodies in terms of
-  points ``(gamma, eta, rho)`` of the closed unit disk;
+* the map from Schwarz-function coefficients ``c = (c1, c2, c3, c4)`` to
+  the class coefficients ``a2..a5``;
+* the classical parametrizations of the Schwarz and Caratheodory
+  coefficient bodies in terms of points ``(gamma, eta, rho)`` of the
+  closed unit disk;
 * the Hankel determinants ``H2(2) = a2 a4 - a3^2`` and ``H3(1)``,
   together with the degree-six polynomial identity for ``9216 * H3(1)``;
 * the piecewise closed form for ``max_{|z|<=1} |A + Bz + Cz^2| + 1 - |z|^2``;
@@ -27,8 +27,7 @@ from fractions import Fraction
 from .rationals import as_fraction
 
 __all__ = [
-    "schwarz_to_coeffs", "caratheodory_from_schwarz", "caratheodory_to_coeffs",
-    "lz_parametrize", "schwarz_parametrize",
+    "schwarz_to_coeffs", "lz_parametrize", "schwarz_parametrize",
     "hankel2", "hankel3", "h3_schwarz_poly",
     "y_max", "y_max_detail", "YMaxDetail",
     "JanowskiParams", "DiskReport", "janowski_check",
@@ -96,29 +95,6 @@ def schwarz_to_coeffs(c: tuple) -> tuple:
     a5 = _exact_div(43 * c1 ** 4 + 184 * c1 * c1 * c2 + 72 * c2 * c2
                     + 176 * c1 * c3 + 96 * c4, 384)
     return a2, a3, a4, a5
-
-
-def caratheodory_from_schwarz(w: tuple) -> tuple:
-    """Coefficients of p = (1 + w)/(1 - w) from the Schwarz coefficients of w."""
-    w1, w2, w3, w4 = w
-    p1 = 2 * w1
-    p2 = 2 * (w2 + w1 * w1)
-    p3 = 2 * (w3 + 2 * w1 * w2 + w1 ** 3)
-    p4 = 2 * (w4 + 2 * w1 * w3 + w2 * w2 + 3 * w1 * w1 * w2 + w1 ** 4)
-    return p1, p2, p3, p4
-
-
-def caratheodory_to_coeffs(p: tuple) -> tuple:
-    """(a2, a3, a4) expressed through Caratheodory coefficients.
-
-    a5 has no printed p-form here, so only the first three are returned;
-    they satisfy a2 = p1/2, a3 = (p1^2 + 8 p2)/32, a4 = (32 p3 - p1^3)/192.
-    """
-    p1, p2, p3, _p4 = p
-    a2 = _exact_div(p1, 2)
-    a3 = _exact_div(p1 * p1 + 8 * p2, 32)
-    a4 = _exact_div(32 * p3 - p1 ** 3, 192)
-    return a2, a3, a4
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +209,7 @@ class YMaxDetail:
 
 def _y_R(aA: float, aB: float, aC: float, A: float, B: float, C: float):
     if aC * (aB + 4 * aA) <= abs(A * B):
-        return aA + aB + aC, "R.edge"
+        return aA + aB - aC, "R.edge"
     if abs(A * B) <= aC * (aB - 4 * aA):
         return -aA + aB + aC, "R.opposite"
     return (aA + aC) * math.sqrt(1 - B * B / (4 * A * C)), "R.curve"

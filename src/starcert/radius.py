@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 from .rationals import as_fraction
 
-__all__ = ["radius_g", "h_prime_numerator", "h_prime_positive",
-           "RadiusResult", "solve_radius", "UPPER_BRACKET"]
+__all__ = ["radius_g", "RadiusResult", "solve_radius", "UPPER_BRACKET"]
 
 # stay strictly inside the domain; g blows down near r = 1
 UPPER_BRACKET = 1 - Fraction(1, 2 ** 20)
@@ -38,21 +37,6 @@ def radius_g(r) -> Fraction:
     poly = 1 - r - r * r / 4
     h = (r * (1 + r / 2)) / ((1 - r / 2) ** 2 * (1 - r * r))
     return poly - h
-
-
-def h_prime_numerator(r) -> Fraction:
-    """Numerator polynomial of h'(r) (up to the positive factor 4/denominator)."""
-    r = as_fraction(r)
-    return -r ** 4 - 3 * r ** 3 + 2 * r * r + 3 * r + 2
-
-
-def h_prime_positive(r) -> bool:
-    """Exact check that h'(r) > 0 at a rational r in (0, 1)."""
-    r = as_fraction(r)
-    if not 0 < r < 1:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    # (2 - r)^3 (1 - r)^2 (1 + r)^2 > 0 here, so the sign is the numerator's
-    return h_prime_numerator(r) > 0
 
 
 class RadiusResult(NamedTuple):

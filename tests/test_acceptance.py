@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import starcert as sc
+from test_radius import h_prime_identities_hold
 
 F = Fraction
 HALF = F(1, 2)
@@ -260,12 +261,13 @@ RADIUS_BASELINE = F("0.335278400446203024")
 def test_c11_radius():
     values = [sc.radius_g(F(i, 1000)) for i in range(1000)]
     assert all(a > b for a, b in zip(values, values[1:]))     # exact compare
-    assert all(sc.h_prime_numerator(F(i, 1000)) > 0 for i in range(1000))
+    assert h_prime_identities_hold()                          # h' > 0 on (0, 1)
     res = sc.solve_radius(0)
     assert res.bracket_hi - res.bracket_lo <= F(1, 10 ** 12)
     assert res.bracket_lo <= RADIUS_BASELINE <= res.bracket_hi
     assert 0.33 < res.root < 0.35
-    _ok(f"radius: g strictly decreasing on 1000-point grid; root "
+    _ok(f"radius: g strictly decreasing on 1000-point grid, h' > 0 on (0, 1) "
+        f"by two polynomial identities; root "
         f"{res.root:.15f} bracketed to {float(res.bracket_hi - res.bracket_lo):.2e}")
 
 

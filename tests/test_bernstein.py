@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from starcert import bernstein
 from starcert.bernstein import (MAX_BOUND_DEPTH, MAX_DEGREE, MAX_DEPTH,
                                 UNIT_BOX, BiPoly, Box, CertificateError, CornerRule,
-                                PositivityCertificate,
+                                CornerSplit, PositivityCertificate,
                                 STATUS_CORNER, STATUS_FAILED, STATUS_POSITIVE,
                                 bound_above, certify_positive,
                                 check_certificate, corner_estimate,
@@ -738,6 +738,101 @@ def test_checker_messages_keep_their_full_text(box, depth, mutate, text):
     with pytest.raises(CertificateError, match=f"^{re.escape(text)}$"):
         check_certificate(POSITIVE_POLY, PositivityCertificate.from_json_doc(doc),
                           box)
+
+
+# Each case below is an honest certificate with one edit, and reaches one
+# rejection of check_certificate on its own.
+ORIGIN = CornerRule(0, 0)
+
+
+def _read(poly, doc, rule=None):
+    return poly, PositivityCertificate.from_json_doc(doc, rule)
+
+
+def _positive_with_children(gap):
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 3).to_json_doc()
+    doc["status"] = STATUS_POSITIVE
+    return _read(POSITIVE_POLY, doc)
+
+
+def _corner_with_children(gap):
+    doc = certify_positive(gap, UNIT_BOX, 3, ORIGIN).to_json_doc()
+    doc["status"] = STATUS_CORNER
+    return _read(gap, doc, ORIGIN)
+
+
+def _corner_under_another_rule(gap):
+    doc = certify_positive(gap, UNIT_BOX, 3, ORIGIN).to_json_doc()
+    return _read(gap, doc, CornerRule(1, 1))
+
+
+def _corner_claimed_a_level_up(gap):
+    # certify_positive tried the estimate on [0,1/4]^2 and subdivided
+    # because it failed there
+    doc = certify_positive(gap, UNIT_BOX, 3, ORIGIN).to_json_doc()
+    doc["children"][0]["children"][0].update(
+        status=STATUS_CORNER, children=[], margin="1")
+    return _read(gap, doc, ORIGIN)
+
+
+def _witness_from_another_box(gap):
+    # (1, 1) with its true value, outside the failed leaf [0,1/2]^2
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 1).to_json_doc()
+    doc["children"][0]["witness"] = ["1", "1", str(POSITIVE_POLY.evaluate(1, 1))]
+    return _read(POSITIVE_POLY, doc)
+
+
+def _witness_value_off(gap):
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 1).to_json_doc()
+    witness = doc["children"][0]["witness"]
+    witness[2] = str(F(witness[2]) + F(1, 1000))
+    return _read(POSITIVE_POLY, doc)
+
+
+def _failure_claimed_on_a_positive_leaf(gap):
+    # the witness is the leaf's corner (1/8, 0) with its true value
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 3).to_json_doc()
+    value = str(POSITIVE_POLY.evaluate(F(1, 8), 0))
+    doc["children"][0]["children"][0]["children"][2].update(
+        status=STATUS_FAILED, witness=["1/8", "0", value])
+    return _read(POSITIVE_POLY, doc)
+
+
+def _unknown_status(gap):
+    # from_json refuses the status before the checker sees it
+    root = certify_positive(POSITIVE_POLY, UNIT_BOX, 3).root
+    bogus = dataclasses.replace(root, status="bogus")
+    return POSITIVE_POLY, PositivityCertificate(bogus)
+
+
+def _positivity_claimed_at_min_zero(gap):
+    doc = certify_positive(BiPoly.var_x(), UNIT_BOX, 0).to_json_doc()
+    _claim_positivity(doc)
+    return _read(BiPoly.var_x(), doc)
+
+
+@pytest.mark.parametrize("case, text", [
+    (_positive_with_children, "positive leaf must have no children"),
+    (_corner_with_children, "corner leaf must have no children"),
+    (_corner_under_another_rule, "corner rule does not apply on [0,1/8]x[0,1/8]"),
+    (_corner_claimed_a_level_up, "corner estimate fails on [0,1/4]x[0,1/4]"),
+    (_witness_from_another_box, "failure witness outside its box"),
+    (_witness_value_off, "failure witness value does not match"),
+    (_failure_claimed_on_a_positive_leaf, "failed leaf has positive enclosure"),
+    (_unknown_status, "unknown node status 'bogus'"),
+    # a smallest coefficient of exactly 0 proves no positivity
+    (_positivity_claimed_at_min_zero,
+     "leaf on [0,1]x[0,1] claims positivity but min coefficient is 0"),
+])
+def test_every_checker_rejection_keeps_its_full_text(reduction, case, text):
+    poly, cert = case(reduction.gap)
+    with pytest.raises(CertificateError, match=f"^{re.escape(text)}$"):
+        check_certificate(poly, cert, UNIT_BOX)
+
+
+def test_corner_estimate_refuses_margin_zero():
+    # lambda = 1 and the tail 1 * 1^(3-2) = 1 leave margin 0: no proof of > 0
+    assert corner_estimate(CornerSplit(1, 0, 1, [(3, 0, 1)], 1)) == (False, 0)
 
 
 def test_check_certificate_with_maps_larger_than_the_memo(monkeypatch):

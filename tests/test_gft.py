@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from starcert import gft
-from starcert.gft import (JanowskiParams, caratheodory_from_schwarz,
-                          caratheodory_to_coeffs, h2_envelope, h2_terms,
+from starcert.gft import (JanowskiParams, h2_envelope, h2_terms,
                           h3_schwarz_poly, hankel2, hankel3, janowski_check,
                           lz_parametrize, ma_minda_scan, schwarz_parametrize,
                           schwarz_to_coeffs, y_max, y_max_detail)
+from test_acceptance import _y_oracle_refined
 
 F = Fraction
 
@@ -32,15 +32,6 @@ def test_known_coefficients():
     assert tuple(a) == (1, F(5, 8), F(7, 24), F(43, 384))
     assert tuple(schwarz_to_coeffs((0, 1, 0, 0))) == (0, F(1, 2), 0, F(3, 16))
     assert tuple(schwarz_to_coeffs((0, 0, 1, 0))) == (0, 0, F(1, 3), 0)
-
-
-def test_caratheodory_route_agrees():
-    rng = random.Random(3)
-    for _ in range(40):
-        c = tuple(rand_frac(rng) for _ in range(4))
-        a = schwarz_to_coeffs(c)
-        p = caratheodory_from_schwarz(c)
-        assert caratheodory_to_coeffs(p) == tuple(a[:3])
 
 
 def test_hankel_values():
@@ -97,16 +88,113 @@ def test_lz_extremal_point():
     assert tuple(p) == (2, 2, 2, 2)
 
 
-def test_parametrizations_correspond():
-    """Same disk parameters through either route give the same
-    Caratheodory data: p(from w(c1, t)) == lz(2 c1, t), exactly."""
+class GaussQ:
+    """a + b i with rational a and b: the arithmetic the parametrizations
+    and the Schur recursion below use, kept exact."""
+
+    def __init__(self, real, imag=0):
+        self.real, self.imag = F(real), F(imag)
+
+    @staticmethod
+    def of(v):
+        return v if isinstance(v, GaussQ) else GaussQ(v)
+
+    def conjugate(self):
+        return GaussQ(self.real, -self.imag)
+
+    def __add__(self, other):
+        other = GaussQ.of(other)
+        return GaussQ(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussQ(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return self + -GaussQ.of(other)
+
+    def __rsub__(self, other):
+        return GaussQ.of(other) - self
+
+    def __mul__(self, other):
+        other = GaussQ.of(other)
+        return GaussQ(self.real * other.real - self.imag * other.imag,
+                      self.real * other.imag + self.imag * other.real)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = GaussQ(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __truediv__(self, n: int):
+        return GaussQ(self.real / n, self.imag / n)
+
+    def __eq__(self, other):
+        other = GaussQ.of(other)
+        return (self.real, self.imag) == (other.real, other.imag)
+
+    def __repr__(self):
+        return f"({self.real} + {self.imag}i)"
+
+
+def _series_quotient(num, den):
+    """num/den as power series, both of one length and den[0] == 1."""
+    out = []
+    for n, a in enumerate(num):
+        out.append(a - sum(den[j] * out[n - j] for j in range(1, n + 1)))
+    return out
+
+
+def _schur_to_series(params):
+    """Coefficients 1..4 of w = z omega_0, and 1..4 of p = (1 + w)/(1 - w),
+    for the Schur parameters (gamma_0, ..., gamma_3) of w.
+
+    omega_k = (gamma_k + z omega_(k+1)) / (1 + conj(gamma_k) z omega_(k+1)),
+    so omega_k to z^(3-k) needs omega_(k+1) to z^(2-k) only: omega_3 is the
+    constant gamma_3."""
+    omega = [params[3]]
+    for g in reversed(params[:3]):
+        omega = _series_quotient([g] + omega,
+                                 [1] + [g.conjugate() * t for t in omega])
+    # w = z omega_0: coefficient k of w is coefficient k - 1 of omega_0
+    p = _series_quotient([GaussQ(1)] + omega, [1] + [-t for t in omega])
+    return tuple(omega), tuple(p[1:])
+
+
+UNIMODULAR = [GaussQ(a, b) for a, b in (
+    (1, 0), (0, 1), (-1, 0), (0, -1), (F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13)),
+    (F(8, 17), F(-15, 17)), (F(-7, 25), F(-24, 25)))]
+
+
+def _disk_point(rng):
+    """A Gaussian rational of the closed unit disk, unimodular one time in four."""
+    if rng.random() < 0.25:
+        return rng.choice(UNIMODULAR)
+    while True:
+        d = rng.randint(1, 12)
+        a, b = F(rng.randint(-d, d), d), F(rng.randint(-d, d), d)
+        if a * a + b * b <= 1:
+            return GaussQ(a, b)
+
+
+def test_parametrizations_match_the_schur_recursion():
+    """Both parametrizations are the Schur parameters of a Schwarz function:
+    (c1, gamma, eta, rho) fed to the Schur recursion give w's coefficients
+    c1..c4 and p's p1..p4 exactly, on complex data (the conj(gamma) eta^2
+    terms of c4 and p4 included), c1 = 0 and 1 and unimodular parameters
+    included.  A sample, not a proof: the degrees in the seven real
+    variables are up to 4, 3, 3, 2, 2, 1 and 1."""
     rng = random.Random(5)
-    for _ in range(40):
-        c1 = F(rng.randint(0, 50), 100)
-        t = tuple(rand_frac(rng, den=40) for _ in range(3))
-        w = schwarz_parametrize(c1, t)
-        assert tuple(caratheodory_from_schwarz(w)) == \
-            tuple(lz_parametrize(2 * c1, t))
+    c1s = [F(0), F(1)] + [F(rng.randint(0, 60), 60) for _ in range(118)]
+    for c1 in c1s:
+        t = tuple(_disk_point(rng) for _ in range(3))
+        c, p = _schur_to_series((GaussQ(c1),) + t)
+        assert schwarz_parametrize(c1, t) == c
+        assert lz_parametrize(2 * c1, t) == p
 
 
 def test_lz_outputs_are_caratheodory_like():
@@ -139,16 +227,24 @@ def test_y_max_dominates_oracle():
         assert y_max(A, B, C) >= _y_oracle(A, B, C) - 1e-9
 
 
+# one fixed (A, B, C) per branch of y_max_detail
+Y_BRANCHES = {
+    "i.edge": (F(7, 8), F(-9, 8), F(7, 4)),
+    "i.parabola": (-1, 0, F(-1, 4)),
+    "ii.inner": (F(-1, 8), F(9, 8), F(3, 8)),
+    "ii.outer": (1, -2, F(-1, 4)),
+    "R.edge": (1, -3, F(-1, 25)),
+    "R.opposite": (F(1, 8), F(7, 4), F(-1, 2)),
+    "R.curve": (F(-3, 2), F(11, 8), 1),
+}
+
+
 def test_y_max_branches_all_reachable():
-    rng = random.Random(7)
-    seen = set()
-    for _ in range(3000):
-        d = y_max_detail(rng.uniform(-2, 2), rng.uniform(-2, 2),
-                         rng.uniform(-2, 2))
-        seen.add(d.branch)
-    assert {"i.edge", "i.parabola", "ii.inner", "ii.outer",
-            "R.edge", "R.opposite", "R.curve"} >= seen
-    assert len(seen) >= 5
+    for branch, abc in Y_BRANCHES.items():
+        d = y_max_detail(*abc)
+        assert d.branch == branch
+        assert d.value == pytest.approx(_y_oracle_refined(*map(float, abc)),
+                                        abs=1e-6), branch
 
 
 def test_y_max_known_case():
@@ -267,8 +363,7 @@ def test_h2_slice_identity_exact():
         p1 = F(rng.randint(1, 199), 100)
         g = rand_frac(rng, den=50)
         e = rand_frac(rng, den=50)
-        p = lz_parametrize(p1, (g, e, F(0)))
-        a2, a3, a4 = caratheodory_to_coeffs(p)
+        a2, a3, a4, _ = schwarz_to_coeffs(schwarz_parametrize(p1 / 2, (g, e, 0)))
         A, B, C, D = h2_terms(p1)
         assert a2 * a4 - a3 * a3 == A + B * g + C * g * g + D * e * (1 - g * g)
 

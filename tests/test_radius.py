@@ -3,10 +3,51 @@ from fractions import Fraction
 
 import pytest
 
-from starcert.radius import (UPPER_BRACKET, h_prime_numerator,
-                             h_prime_positive, radius_g, solve_radius)
+from starcert.radius import UPPER_BRACKET, radius_g, solve_radius
 
 F = Fraction
+
+
+# polynomials as coefficient lists, lowest degree first
+def _mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _at(a, r):
+    return sum(c * r ** k for k, c in enumerate(a))
+
+
+def _derivative(a):
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+# h = P/Q is the term radius_g subtracts, N the numerator of h'
+P = [0, 1, F(1, 2)]
+Q = _mul(_mul([1, F(-1, 2)], [1, F(-1, 2)]), [1, 0, -1])
+N = [2, 3, 2, -3, -1]
+
+
+def h_prime_identities_hold() -> bool:
+    """(P'Q - PQ') (2 - r)^3 (1 - r)^2 (1 + r)^2 = 4 N Q^2 and
+    N = (1 - r^2)(r^2 + 3r + 2) + 3r^2, as polynomial identities.
+
+    P'Q - PQ' has degree at most 5 and the factor after it degree 7, N has
+    degree 4 and Q^2 degree 8: both sides of the first identity have degree
+    at most 12, so a difference that vanishes at 13 distinct points is zero.
+    Both sides of the second have degree 4, so 5 points prove it."""
+    def first(r):
+        lhs = ((_at(_derivative(P), r) * _at(Q, r) - _at(P, r) * _at(_derivative(Q), r))
+               * (2 - r) ** 3 * (1 - r) ** 2 * (1 + r) ** 2)
+        return lhs == 4 * _at(N, r) * _at(Q, r) ** 2
+
+    def second(r):
+        return _at(N, r) == (1 - r * r) * (r * r + 3 * r + 2) + 3 * r * r
+
+    return all(map(first, range(13))) and all(map(second, range(5)))
 
 
 def test_g_at_zero():
@@ -33,11 +74,15 @@ def test_g_strictly_decreasing_exact():
         prev = cur
 
 
-def test_h_prime_positive_on_unit_interval():
-    assert all(h_prime_positive(F(i, 64)) for i in range(1, 64))
+def test_h_prime_is_proven_positive_on_unit_interval():
+    # h' = (P'Q - PQ')/Q^2 = 4 N / ((2 - r)^3 (1 - r)^2 (1 + r)^2) off the
+    # zeros of Q, and on (0, 1) both 1 - r^2 and r^2 + 3r + 2 are positive,
+    # so N > 0 and h' > 0 there
+    assert h_prime_identities_hold()
+    for r in (F(0), F(1, 3), F(1, 2), F(9, 10)):
+        assert radius_g(r) == 1 - r - r * r / 4 - _at(P, r) / _at(Q, r)
     # the numerator stays positive through both endpoints: 2 and 3
-    assert h_prime_numerator(0) == 2
-    assert h_prime_numerator(1) == 3
+    assert (_at(N, 0), _at(N, 1)) == (2, 3)
 
 
 def test_solve_radius_default():

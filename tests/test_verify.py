@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starcert import gft, verify
+from starcert import bernstein, gft, verify
 from starcert.bernstein import BiPoly
 from starcert.cli import main
 from starcert.verify import (DEFAULT_SEED, VerificationReport, a4_family,
@@ -299,6 +299,43 @@ def test_h3_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys):
     assert d["sharpness_w_z3_scaled"] == "-1023"
     assert report.status == "failed" and d["failure"] == "certification"
     assert main(["certify-h3", "--grid", "4"]) == 2
+    assert "failure: certification" in capsys.readouterr().out
+
+
+def _certify_at_depth_2(poly, box, max_depth, rule):
+    # the corner box [0, 1/8]^2 needs depth 3, so this tree has a failed leaf
+    return bernstein.certify_positive(poly, box, 2, rule)
+
+
+@pytest.mark.parametrize("patches, key, value", [
+    ({"bound_above": lambda *args: F(1025)}, "endpoint_y0_bernstein_max", "1025"),
+    ({"certify_positive": _certify_at_depth_2, "check_certificate": lambda *args: True},
+     "certificate_succeeded", False),
+    ({"check_certificate": lambda *args: False}, "certificate_revalidated", False),
+])
+def test_each_h3_exact_step_decides_alone(monkeypatch, capsys, patches, key, value):
+    # the certificate's success and its re-check cover each other on honest
+    # trees, so each is broken here with the other still holding
+    for name, stub in patches.items():
+        monkeypatch.setattr(verify, name, stub)
+    report = verify_h3(grid=4)
+    assert report.details[key] == value
+    assert report.status == "failed" and report.details["failure"] == "certification"
+    assert main(["certify-h3", "--grid", "4"]) == 2
+    assert "failure: certification" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, stub, key, value", [
+    ("h2_envelope", lambda p1: gft.h2_envelope(p1) + F(1, 1000),
+     "endpoint_values", "WRONG"),
+    ("hankel2", lambda a: F(-1, 5), "sharpness_w_z2", "-1/5"),
+])
+def test_each_h2_exact_step_decides_alone(monkeypatch, capsys, name, stub, key, value):
+    monkeypatch.setattr(verify, name, stub)
+    report = verify_h2()
+    assert report.details[key] == value
+    assert report.status == "failed" and report.details["failure"] == "certification"
+    assert main(["verify-h2"]) == 2
     assert "failure: certification" in capsys.readouterr().out
 
 

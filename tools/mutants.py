@@ -1,0 +1,146 @@
+"""Mutation gate for the trusted path: every mutant below must be killed.
+
+    python3 tools/mutants.py
+
+Each mutant is one exact text replacement in one source file, which must
+match exactly once.  The working tree is copied to a temporary directory;
+for each mutant the replacement is made there, and the test suite runs with
+
+    python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0
+
+A mutant is killed when that run fails.  The unmutated copy runs first and
+must pass, or no mutant result would mean anything.  Exit code 0 when
+every mutant is killed, 1 when any survives, 2 when the unmutated suite
+fails or a replacement does not match exactly once.  Standard library
+only; the repository itself is never modified.
+
+A mutant that is equivalent to the original (no test can kill it) stays in
+the list with its reason in ``equivalent``; it is not run.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+          "--hypothesis-seed=0"]
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".bench_out",
+                                ".pytest_cache", "*.egg-info")
+
+BERNSTEIN = "src/starcert/bernstein.py"
+VERIFY = "src/starcert/verify.py"
+GFT = "src/starcert/gft.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    equivalent: Optional[str] = None
+
+
+MUTANTS = [
+    # check_certificate and the corner estimate
+    Mutant("positive-leaf-min-zero", BERNSTEIN,
+           "if lo <= 0:", "if lo < 0:"),
+    Mutant("corner-margin-zero", BERNSTEIN,
+           "return margin > 0, margin", "return margin >= 0, margin"),
+    Mutant("witness-outside-box", BERNSTEIN,
+           'raise CertificateError("failure witness outside its box")', "pass"),
+    Mutant("failed-leaf-positive", BERNSTEIN,
+           'raise CertificateError("failed leaf has positive enclosure")', "pass"),
+    Mutant("corner-cross-half", BERNSTEIN,
+           "abs(split.quad_px) / 2", "abs(split.quad_px) / 4"),
+    Mutant("corner-tail-power", BERNSTEIN,
+           "split.half_width ** (i + j - 2)", "split.half_width ** (i + j - 3)"),
+    Mutant("corner-linear-part", BERNSTEIN,
+           "if g.coeff(0, 0) != 0 or g.coeff(1, 0) != 0 or g.coeff(0, 1) != 0:",
+           "if g.coeff(0, 0) != 0:"),
+    # verify_h3's exact conjunction, one step dropped at a time
+    Mutant("h3-gap", VERIFY,
+           "exact = (gap_ok and cert.succeeded", "exact = (cert.succeeded"),
+    Mutant("h3-succeeded", VERIFY,
+           "cert.succeeded and recheck", "recheck"),
+    Mutant("h3-recheck", VERIFY,
+           "recheck and y0_max", "y0_max"),
+    Mutant("h3-endpoint-y0", VERIFY,
+           "recheck and y0_max <= MAJORANT_TARGET\n", "recheck\n"),
+    Mutant("h3-ycoef", VERIFY,
+           "and ycoef_ok and endpoint_ok", "and endpoint_ok"),
+    Mutant("h3-endpoints", VERIFY,
+           "and ycoef_ok and endpoint_ok", "and ycoef_ok"),
+    Mutant("h3-sharpness", VERIFY,
+           "and endpoint_ok and sharp == -MAJORANT_TARGET)", "and endpoint_ok)"),
+    # verify_h2's exact conjunction
+    Mutant("h2-identity", VERIFY,
+           "exact = (identity_ok and cases_ok", "exact = (cases_ok"),
+    Mutant("h2-cases", VERIFY,
+           "identity_ok and cases_ok and decreasing", "identity_ok and decreasing"),
+    Mutant("h2-decreasing", VERIFY,
+           "cases_ok and decreasing and endpoints_ok", "cases_ok and endpoints_ok"),
+    Mutant("h2-endpoints", VERIFY,
+           "decreasing and endpoints_ok", "decreasing"),
+    Mutant("h2-sharpness", VERIFY,
+           "\n             and witness == Fraction(-1, 4))", ")"),
+    # the Y(A, B, C) lemma
+    Mutant("y-max-r-edge", GFT,
+           'return aA + aB - aC, "R.edge"', 'return aA + aB + aC, "R.edge"'),
+]
+
+
+def _suite_passes(tree: Path) -> bool:
+    # no bytecode: a .pyc keyed by mtime and size could outlive a mutant
+    # that keeps the file's size
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(PYTEST, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    for mutant in MUTANTS:
+        count = (ROOT / mutant.path).read_text().count(mutant.old)
+        if count != 1:
+            print(f"{mutant.name}: {mutant.old!r} matches {count} times in "
+                  f"{mutant.path}, not once")
+            return 2
+
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=IGNORE)
+        start = time.monotonic()
+        if not _suite_passes(tree):
+            print("the unmutated suite fails, so no mutant can be judged")
+            return 2
+        print(f"unmutated suite passes ({time.monotonic() - start:.1f} s)", flush=True)
+
+        survivors = []
+        for mutant in MUTANTS:
+            if mutant.equivalent:
+                print(f"equivalent  {mutant.name}: {mutant.equivalent}")
+                continue
+            path = tree / mutant.path
+            original = path.read_text()
+            path.write_text(original.replace(mutant.old, mutant.new))
+            start = time.monotonic()
+            killed = not _suite_passes(tree)
+            path.write_text(original)
+            print(f"{'killed  ' if killed else 'SURVIVED'}  {mutant.name} "
+                  f"({time.monotonic() - start:.1f} s)", flush=True)
+            if not killed:
+                survivors.append(mutant.name)
+    print(f"{len(survivors)} of {len(MUTANTS)} mutants survived"
+          + (f": {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
