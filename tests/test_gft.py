@@ -34,6 +34,26 @@ def test_known_coefficients():
     assert tuple(schwarz_to_coeffs((0, 0, 1, 0))) == (0, 0, F(1, 3), 0)
 
 
+def _caratheodory_from_schwarz(w):
+    """p1..p4 of p = (1 + w)/(1 - w), by series division of the Schwarz
+    coefficients w1..w4."""
+    p = _series_quotient([F(1)] + list(w), [1] + [-t for t in w])
+    return tuple(p[1:])
+
+
+def test_caratheodory_route_agrees():
+    """a2..a4 reached through p = (1 + w)/(1 - w) and the printed p-forms
+    a2 = p1/2, a3 = (p1^2 + 8 p2)/32, a4 = (32 p3 - p1^3)/192 equal those
+    of schwarz_to_coeffs, exactly."""
+    rng = random.Random(3)
+    for _ in range(40):
+        c = tuple(rand_frac(rng) for _ in range(4))
+        a = schwarz_to_coeffs(c)
+        p1, p2, p3, _p4 = _caratheodory_from_schwarz(c)
+        assert (p1 / 2, (p1 * p1 + 8 * p2) / 32,
+                (32 * p3 - p1 ** 3) / 192) == tuple(a[:3])
+
+
 def test_hankel_values():
     assert hankel2(schwarz_to_coeffs((0, 1, 0, 0))) == F(-1, 4)
     assert hankel3(schwarz_to_coeffs((0, 0, 1, 0))) == F(-1, 9)
@@ -195,6 +215,17 @@ def test_parametrizations_match_the_schur_recursion():
         c, p = _schur_to_series((GaussQ(c1),) + t)
         assert schwarz_parametrize(c1, t) == c
         assert lz_parametrize(2 * c1, t) == p
+
+
+def test_parametrizations_correspond():
+    """Same disk parameters through either route give the same
+    Caratheodory data: p(from w(c1, t)) == lz(2 c1, t), exactly."""
+    rng = random.Random(5)
+    for _ in range(40):
+        c1 = F(rng.randint(0, 50), 100)
+        t = tuple(rand_frac(rng, den=40) for _ in range(3))
+        w = schwarz_parametrize(c1, t)
+        assert _caratheodory_from_schwarz(w) == tuple(lz_parametrize(2 * c1, t))
 
 
 def test_lz_outputs_are_caratheodory_like():
