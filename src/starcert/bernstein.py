@@ -357,6 +357,8 @@ class Box:
         (pln, pld), (phn, phd), (xln, xld), (xhn, xhd) = ends
         if not (pln * phd < phn * pld and xln * xhd < xhn * xld):
             raise ValueError(f"degenerate box {self}")
+        # the reduced integer ends per axis, (lo num, den, hi num, den)
+        object.__setattr__(self, "_ends", (ends[0] + ends[1], ends[2] + ends[3]))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_lo, self.p_hi, self.x_lo, self.x_hi)
@@ -374,11 +376,22 @@ class Box:
 
     def quadrants(self) -> tuple["Box", "Box", "Box", "Box"]:
         """Midpoint quadrisection in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi)."""
-        pm, xm = (self.p_lo + self.p_hi) / 2, (self.x_lo + self.x_hi) / 2
-        return (Box(self.p_lo, pm, self.x_lo, xm),
-                Box(self.p_lo, pm, xm, self.x_hi),
-                Box(pm, self.p_hi, self.x_lo, xm),
-                Box(pm, self.p_hi, xm, self.x_hi))
+        return tuple(Box(Fraction(pln, pld), Fraction(phn, phd),
+                         Fraction(xln, xld), Fraction(xhn, xhd))
+                     for (pln, pld, phn, phd), (xln, xld, xhn, xhd)
+                     in _quadrant_ends(self._ends))
+
+
+def _quadrant_ends(ends: tuple) -> list:
+    """The ``Box._ends`` of the four midpoint quadrants of a box, in
+    :meth:`Box.quadrants` order.  Each axis [ln/ld, hn/hd] splits at
+    (ln hd + hn ld) / (2 ld hd), reduced by one gcd."""
+    halves = []
+    for ln, ld, hn, hd in ends:
+        num, den = ln * hd + hn * ld, 2 * ld * hd
+        g = gcd(num, den)
+        halves.append(((ln, ld, num // g, den // g), (num // g, den // g, hn, hd)))
+    return [(pe, xe) for pe in halves[0] for xe in halves[1]]
 
 
 UNIT_BOX = Box(0, 1, 0, 1)
@@ -499,11 +512,6 @@ def _axis_map(m: int, ln: int, ld: int, hn: int, hd: int) -> tuple[tuple, int]:
     return entry[0], entry[1]
 
 
-def _interval_ints(lo: Fraction, hi: Fraction) -> tuple[int, int, int, int]:
-    """(lo num, lo den, hi num, hi den), the ends of an axis as integers."""
-    return lo.as_integer_ratio() + hi.as_integer_ratio()
-
-
 def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
     """Bernstein coefficients of ``poly`` over ``box``, exactly.
 
@@ -514,8 +522,8 @@ def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
     """
     m, n = poly.bidegree
     ints, den = poly._integers
-    mp, dp = _axis_map(m, *_interval_ints(box.p_lo, box.p_hi))
-    mx, dx = _axis_map(n, *_interval_ints(box.x_lo, box.x_hi))
+    mp, dp = _axis_map(m, *box._ends[0])
+    mx, dx = _axis_map(n, *box._ends[1])
     return BernsteinPatch(box, _x_stage(_p_stage(ints, mp), mx), den * dp * dx)
 
 
@@ -618,13 +626,15 @@ def corner_split(poly: BiPoly, box: Box,
     (pn, pd), (xn, xd) = cp.as_integer_ratio(), cx.as_integer_ratio()
     mp = list(zip(*_pencil(m, pd, 0, pn, pd if cp == box.p_lo else -pd)))
     mx = list(zip(*_pencil(n, xd, 0, xn, xd if cx == box.x_lo else -xd)))
-    g = BiPoly([[Fraction(c, den * pd ** m * xd ** n) for c in row]
-                for row in _x_stage(_p_stage(rows, mp), mx)])
-    if g.coeff(0, 0) != 0 or g.coeff(1, 0) != 0 or g.coeff(0, 1) != 0:
+    # the nonzero terms of the recentered polynomial, in row order
+    scale = den * pd ** m * xd ** n
+    g = {(i, j): Fraction(c, scale) for i, row in enumerate(_x_stage(_p_stage(rows, mp), mx))
+         for j, c in enumerate(row) if c}
+    if (0, 0) in g or (1, 0) in g or (0, 1) in g:
         return None
-    tail = [(i, j, c) for i, j, c in g.terms() if i + j >= 3]
+    tail = [(i, j, c) for (i, j), c in g.items() if i + j >= 3]
     return CornerSplit(
-        quad_pp=g.coeff(2, 0), quad_px=g.coeff(1, 1), quad_xx=g.coeff(0, 2),
+        quad_pp=g.get((2, 0), 0), quad_px=g.get((1, 1), 0), quad_xx=g.get((0, 2), 0),
         tail=tail, half_width=max(box.p_width, box.x_width))
 
 
@@ -885,12 +895,11 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     share their p-interval, so each distinct p-interval is mapped once per
     call and each node applies only its own x-axis map.
 
-    The walk runs on integers.  Each node carries its own ends as reduced
-    (numerator, denominator) pairs.  Every box is a midpoint quadrisection,
-    so the quadrant ends of a subdivided node [ln/ld, hn/hd] follow from
-    one exact midpoint per axis, (ln hd + hn ld) / (2 ld hd) reduced by one
-    gcd; the children's recorded ends are compared with them as integers,
-    and a recomputed enclosure with the recorded one by cross-multiplication.
+    The walk runs on integers: each node's box carries its ends as reduced
+    (numerator, denominator) pairs (``Box._ends``).  A subdivided node's
+    children must have exactly the ends :func:`_quadrant_ends` gives, and a
+    recomputed enclosure is compared with the recorded one by
+    cross-multiplication.
 
     Returns True iff the certificate is structurally sound **and** proves
     positivity (no failed leaves).  Structural lies - a root box other than
@@ -904,7 +913,7 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     # p-interval ends -> (mp * ints, den * dp)
     p_stages: dict = {}
 
-    def walk(node: CertificateNode, p_ends: tuple, x_ends: tuple) -> bool:
+    def walk(node: CertificateNode) -> bool:
         # only a corner leaf records a margin, only a failed leaf a witness
         if node.margin is not None and node.status != STATUS_CORNER:
             raise CertificateError(f"{node.status} node on {node.box} "
@@ -912,6 +921,7 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
         if node.witness is not None and node.status != STATUS_FAILED:
             raise CertificateError(f"{node.status} node on {node.box} "
                                    f"records a witness")
+        p_ends, x_ends = node.box._ends
         stage = p_stages.get(p_ends)
         if stage is None:
             mp, dp = _axis_map(m, *p_ends)
@@ -953,23 +963,10 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                     f"recorded {node.margin}")
             return True
         if node.status == STATUS_SUBDIVIDED:
-            # the halves of each axis, split at its reduced midpoint, paired
-            # in Box.quadrants order
-            halves = []
-            for ln, ld, hn, hd in (p_ends, x_ends):
-                num, mden = ln * hd + hn * ld, 2 * ld * hd
-                g = gcd(num, mden)
-                mid = (num // g, mden // g)
-                halves.append(((ln, ld) + mid, mid + (hn, hd)))
-            quads = [(pe, xe) for pe in halves[0] for xe in halves[1]]
-            children = node.children
-            if len(children) != 4 or any(
-                    _interval_ints(c.box.p_lo, c.box.p_hi) != pe
-                    or _interval_ints(c.box.x_lo, c.box.x_hi) != xe
-                    for c, (pe, xe) in zip(children, quads)):
+            if [c.box._ends for c in node.children] != _quadrant_ends(node.box._ends):
                 raise CertificateError(
                     f"children of {node.box} are not its quadrants")
-            return all([walk(c, pe, xe) for c, (pe, xe) in zip(children, quads)])
+            return all([walk(c) for c in node.children])
         if node.status == STATUS_FAILED:
             if node.children:
                 raise CertificateError("failed leaf must have no children")
@@ -988,5 +985,4 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
             return False
         raise CertificateError(f"unknown node status {node.status!r}")
 
-    return walk(cert.root, _interval_ints(box.p_lo, box.p_hi),
-                _interval_ints(box.x_lo, box.x_hi))
+    return walk(cert.root)

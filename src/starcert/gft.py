@@ -5,9 +5,9 @@ pipelines:
 
 * the map from Schwarz-function coefficients ``c = (c1, c2, c3, c4)`` to
   the class coefficients ``a2..a5``;
-* the classical parametrizations of the Schwarz and Caratheodory
-  coefficient bodies in terms of points ``(gamma, eta, rho)`` of the
-  closed unit disk;
+* the classical parametrization of the Schwarz coefficient body in terms
+  of points ``(gamma, eta, rho)`` of the closed unit disk, typed once, and
+  the Caratheodory one derived from it through p = (1 + w)/(1 - w);
 * the Hankel determinants ``H2(2) = a2 a4 - a3^2`` and ``H3(1)``,
   together with the degree-six polynomial identity for ``9216 * H3(1)``;
 * the piecewise closed form for ``max_{|z|<=1} |A + Bz + Cz^2| + 1 - |z|^2``;
@@ -114,25 +114,16 @@ def lz_parametrize(p1, t: tuple) -> tuple:
         8 p4 = p1^4 + (4 - p1^2) gamma (p1^2 (gamma^2 - 3 gamma + 3) + 4 gamma)
                - 4 (4 - p1^2)(1 - |gamma|^2)
                  (p1 (gamma - 1) eta + conj(gamma) eta^2 - (1 - |eta|^2) rho).
+
+    Computed, not typed: the coefficients of p = (1 + w)/(1 - w) for the
+    Schwarz function w with coefficients ``schwarz_parametrize(p1/2, t)``.
     """
     if not 0 <= p1 <= 2:
         raise ValueError(f"p1 must lie in [0, 2], got {p1}")
-    gamma, eta, rho = t
-    _check_unit("gamma", gamma)
-    _check_unit("eta", eta)
-    _check_unit("rho", rho)
-    s = 4 - p1 * p1
-    g2 = 1 - _abs2(gamma)
-    e2 = 1 - _abs2(eta)
-    p2 = _exact_div(p1 * p1 + gamma * s, 2)
-    p3 = _exact_div(p1 ** 3 + 2 * s * p1 * gamma - s * p1 * gamma * gamma
-                    + 2 * s * g2 * eta, 4)
-    p4 = _exact_div(p1 ** 4
-                    + s * gamma * (p1 * p1 * (gamma * gamma - 3 * gamma + 3)
-                                   + 4 * gamma)
-                    - 4 * s * g2 * (p1 * (gamma - 1) * eta
-                                    + gamma.conjugate() * eta * eta - e2 * rho), 8)
-    return p1, p2, p3, p4
+    c1, c2, c3, c4 = schwarz_parametrize(_exact_div(p1, 2), t)
+    # p = 1 + 2 (w + w^2 + w^3 + w^4 + ...), to z^4
+    return (p1, 2 * (c2 + c1 * c1), 2 * (c3 + 2 * c1 * c2 + c1 ** 3),
+            2 * (c4 + 2 * c1 * c3 + c2 * c2 + 3 * c1 * c1 * c2 + c1 ** 4))
 
 
 def schwarz_parametrize(c1, t: tuple) -> tuple:

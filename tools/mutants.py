@@ -6,13 +6,18 @@ Each mutant is one exact text replacement in one source file, which must
 match exactly once.  The working tree is copied to a temporary directory;
 for each mutant the replacement is made there, and the test suite runs with
 
-    python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0
+    python -m pytest -x -q -p no:cacheprovider --hypothesis-seed=0 FILES
 
-A mutant is killed when that run fails.  The unmutated copy runs first and
-must pass, or no mutant result would mean anything.  Exit code 0 when
-every mutant is killed, 1 when any survives, 2 when the unmutated suite
-fails or a replacement does not match exactly once.  Standard library
-only; the repository itself is never modified.
+FILES are the test files under tests/, the mutated module's own
+tests/test_<module>.py first and the rest in name order, so most mutants
+die in the first file.  tests/test_mutants.py is left out of these runs:
+it checks that each mutant's text is in its source, which no mutated copy
+passes.  A mutant is killed when that run fails.  The unmutated copy runs
+first, the whole suite in its usual order, and must pass, or no mutant
+result would mean anything.  Exit code 0 when every mutant is killed, 1
+when any survives, 2 when the unmutated suite fails or a replacement does
+not match exactly once.  Standard library only; the repository itself is
+never modified.
 
 A mutant that is equivalent to the original (no test can kill it) stays in
 the list with its reason in ``equivalent``; it is not run.
@@ -26,7 +31,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
@@ -37,6 +42,7 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".bench_ou
 BERNSTEIN = "src/starcert/bernstein.py"
 VERIFY = "src/starcert/verify.py"
 GFT = "src/starcert/gft.py"
+SELF_TEST = "tests/test_mutants.py"
 
 
 class Mutant(NamedTuple):
@@ -62,8 +68,13 @@ MUTANTS = [
     Mutant("corner-tail-power", BERNSTEIN,
            "split.half_width ** (i + j - 2)", "split.half_width ** (i + j - 3)"),
     Mutant("corner-linear-part", BERNSTEIN,
-           "if g.coeff(0, 0) != 0 or g.coeff(1, 0) != 0 or g.coeff(0, 1) != 0:",
-           "if g.coeff(0, 0) != 0:"),
+           "if (0, 0) in g or (1, 0) in g or (0, 1) in g:",
+           "if (0, 0) in g:"),
+    # the midpoint rule the builder and the checker share: a split at 2/3
+    # still gives valid boxes, so only the checker's direct conversion of
+    # each node can tell
+    Mutant("quadrant-midpoint", BERNSTEIN,
+           "ln * hd + hn * ld, 2 * ld * hd", "ln * hd + 2 * hn * ld, 3 * ld * hd"),
     # verify_h3's exact conjunction, one step dropped at a time
     Mutant("h3-gap", VERIFY,
            "exact = (gap_ok and cert.succeeded", "exact = (cert.succeeded"),
@@ -93,14 +104,27 @@ MUTANTS = [
     # the Y(A, B, C) lemma
     Mutant("y-max-r-edge", GFT,
            'return aA + aB - aC, "R.edge"', 'return aA + aB + aC, "R.edge"'),
+    # the Caratheodory parametrization derived from the Schwarz one
+    Mutant("p4-derived", GFT,
+           "3 * c1 * c1 * c2", "2 * c1 * c1 * c2"),
 ]
 
 
-def _suite_passes(tree: Path) -> bool:
+def mutant_test_files(tree: Path, mutated: str) -> list:
+    """The test files a mutant of ``mutated`` runs, in order: its module's
+    own tests/test_<module>.py first, then the others by name, without
+    SELF_TEST."""
+    first = f"tests/test_{Path(mutated).stem}.py"
+    rest = sorted(p.relative_to(tree).as_posix() for p in tree.glob("tests/test_*.py"))
+    return ([first] if first in rest else []) + [
+        f for f in rest if f not in (first, SELF_TEST)]
+
+
+def _suite_passes(tree: Path, files: Sequence[str] = ()) -> bool:
     # no bytecode: a .pyc keyed by mtime and size could outlive a mutant
     # that keeps the file's size
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run(PYTEST, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+    done = subprocess.run([*PYTEST, *files], cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL)
     return done.returncode == 0
 
@@ -131,7 +155,7 @@ def main() -> int:
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
             start = time.monotonic()
-            killed = not _suite_passes(tree)
+            killed = not _suite_passes(tree, mutant_test_files(tree, mutant.path))
             path.write_text(original)
             print(f"{'killed  ' if killed else 'SURVIVED'}  {mutant.name} "
                   f"({time.monotonic() - start:.1f} s)", flush=True)
