@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb, gcd, lcm
 from operator import mul
 from sys import getsizeof
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .rationals import as_fraction, format_rational, parse_rational
 
@@ -81,14 +80,11 @@ def _freeze(rows: Iterable[Iterable]) -> tuple:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class BiPoly:
     """f(p, x) = sum coeffs[i][j] * p^i * x^j with exact coefficients."""
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _freeze(self.coeffs))
+    def __init__(self, coeffs):
+        self.coeffs = _freeze(coeffs)
 
     # -- constructors --------------------------------------------------
 
@@ -336,32 +332,41 @@ def format_poly_text(poly: BiPoly) -> str:
 # boxes and Bernstein patches
 # ======================================================================
 
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned rectangle [p_lo, p_hi] x [x_lo, x_hi], exact endpoints."""
+    """Axis-aligned rectangle [p_lo, p_hi] x [x_lo, x_hi], exact endpoints.
 
-    p_lo: Fraction
-    p_hi: Fraction
-    x_lo: Fraction
-    x_hi: Fraction
+    Boxes compare and hash by their ends, which nothing assigns after the
+    constructor."""
 
-    def __post_init__(self):
-        ends = []
-        for name in ("p_lo", "p_hi", "x_lo", "x_hi"):
-            end = getattr(self, name)
-            if type(end) is not Fraction:
-                end = as_fraction(end)
-                object.__setattr__(self, name, end)
-            ends.append(end.as_integer_ratio())
+    __slots__ = ("p_lo", "p_hi", "x_lo", "x_hi", "_ends")
+
+    def __init__(self, p_lo, p_hi, x_lo, x_hi):
+        ends = [end if type(end) is Fraction else as_fraction(end)
+                for end in (p_lo, p_hi, x_lo, x_hi)]
+        self.p_lo, self.p_hi, self.x_lo, self.x_hi = ends
+        ends = [end.as_integer_ratio() for end in ends]
         # denominators are positive, so lo < hi compares cross-products
         (pln, pld), (phn, phd), (xln, xld), (xhn, xhd) = ends
         if not (pln * phd < phn * pld and xln * xhd < xhn * xld):
             raise ValueError(f"degenerate box {self}")
         # the reduced integer ends per axis, (lo num, den, hi num, den)
-        object.__setattr__(self, "_ends", (ends[0] + ends[1], ends[2] + ends[3]))
+        self._ends = (ends[0] + ends[1], ends[2] + ends[3])
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_lo, self.p_hi, self.x_lo, self.x_hi)
+
+    # reduced ends are equal exactly when the Fraction ends are
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._ends == other._ends
+
+    def __hash__(self):
+        return hash(self._ends)
+
+    def __repr__(self) -> str:
+        return (f"Box(p_lo={self.p_lo!r}, p_hi={self.p_hi!r}, "
+                f"x_lo={self.x_lo!r}, x_hi={self.x_hi!r})")
 
     def __str__(self) -> str:
         return (f"[{self.p_lo},{self.p_hi}]x[{self.x_lo},{self.x_hi}]")
@@ -397,14 +402,14 @@ def _quadrant_ends(ends: tuple) -> list:
 UNIT_BOX = Box(0, 1, 0, 1)
 
 
-@dataclass(frozen=True, eq=False)
 class BernsteinPatch:
     """Bernstein coefficients of a polynomial over a box: coefficient
     (i, j) is ``ints[i][j] / den``, with one positive common denominator."""
 
-    box: Box
-    ints: tuple
-    den: int
+    __slots__ = ("box", "ints", "den")
+
+    def __init__(self, box: Box, ints: tuple, den: int):
+        self.box, self.ints, self.den = box, ints, den
 
     @property
     def bcoeffs(self) -> tuple:
@@ -565,22 +570,18 @@ def subdivide(patch: BernsteinPatch) -> tuple[BernsteinPatch, ...]:
 # the corner estimate
 # ======================================================================
 
-@dataclass(frozen=True)
 class CornerRule:
     """Declares the one point where the certified polynomial is allowed to vanish."""
 
-    p: Fraction
-    x: Fraction
+    __slots__ = ("p", "x")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_fraction(self.p))
-        object.__setattr__(self, "x", as_fraction(self.x))
+    def __init__(self, p, x):
+        self.p, self.x = as_fraction(p), as_fraction(x)
 
     def point(self) -> tuple[Fraction, Fraction]:
         return (self.p, self.x)
 
 
-@dataclass(frozen=True)
 class CornerSplit:
     """F = Q + R around a zero corner mapped to the origin.
 
@@ -589,19 +590,15 @@ class CornerSplit:
     >= 3; the box is contained in [0, half_width]^2.
     """
 
-    quad_pp: Fraction
-    quad_px: Fraction
-    quad_xx: Fraction
-    tail: tuple                      # ((i, j, coeff), ...) with i + j >= 3
-    half_width: Fraction
+    # tail: ((i, j, coeff), ...) with i + j >= 3
+    __slots__ = ("quad_pp", "quad_px", "quad_xx", "tail", "half_width")
 
-    def __post_init__(self):
-        object.__setattr__(self, "quad_pp", as_fraction(self.quad_pp))
-        object.__setattr__(self, "quad_px", as_fraction(self.quad_px))
-        object.__setattr__(self, "quad_xx", as_fraction(self.quad_xx))
-        object.__setattr__(self, "half_width", as_fraction(self.half_width))
-        tail = tuple((int(i), int(j), as_fraction(c)) for i, j, c in self.tail)
-        object.__setattr__(self, "tail", tail)
+    def __init__(self, quad_pp, quad_px, quad_xx, tail, half_width):
+        self.quad_pp = as_fraction(quad_pp)
+        self.quad_px = as_fraction(quad_px)
+        self.quad_xx = as_fraction(quad_xx)
+        self.half_width = as_fraction(half_width)
+        self.tail = tail = tuple((int(i), int(j), as_fraction(c)) for i, j, c in tail)
         if self.half_width <= 0:
             raise ValueError("half_width must be positive")
         if any(i + j < 3 for i, j, _ in tail):
@@ -668,8 +665,7 @@ STATUS_FAILED = "failed"
 _WITNESS_GRID = 16  # 17 x 17 lattice for failure witnesses
 
 
-@dataclass(frozen=True)
-class CertificateNode:
+class CertificateNode(NamedTuple):
     box: Box
     status: str
     min_bcoeff: Fraction
@@ -689,8 +685,7 @@ class CertificateNode:
         return 1 + max((c.depth() for c in self.children), default=0)
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(NamedTuple):
     root: CertificateNode
     corner_rule: Optional[CornerRule] = None
 

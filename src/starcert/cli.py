@@ -114,6 +114,10 @@ def _read_schwarz(spec: str, order: int):
 
 def _cmd_expand(args) -> int:
     from .series import member_from_schwarz
+    # checked before the Schwarz function is built at this order, which
+    # would refuse a negative one with its own message
+    if args.order < 1:
+        raise ValueError("order must be >= 1")
     f = member_from_schwarz(_read_schwarz(args.schwarz, args.order), args.order)
     parts = [f"a{k}={format_rational(f.coeff(k))}"
              for k in range(2, args.order + 1)]

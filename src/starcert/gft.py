@@ -21,8 +21,8 @@ helper imports numpy, when it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .rationals import as_fraction
 
@@ -192,8 +192,7 @@ def h3_schwarz_poly(c: tuple):
 # max of |A + Bz + Cz^2| + 1 - |z|^2 over the closed unit disk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class YMaxDetail:
+class YMaxDetail(NamedTuple):
     value: float
     branch: str
 
@@ -242,18 +241,16 @@ def y_max(A, B, C) -> float:
 # Janowski disk criterion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class JanowskiParams:
     """Parameters of (1 + Az)/(1 + Bz) with -1 < B < A <= 1, kept exact."""
-    A: Fraction
-    B: Fraction
 
-    def __post_init__(self):
+    __slots__ = ("A", "B")
+
+    def __init__(self, A, B):
         # floats are converted to their exact binary rational so that the
         # two equivalent tests below can never disagree by rounding
         to_frac = lambda v: Fraction(v) if isinstance(v, float) else as_fraction(v)
-        object.__setattr__(self, "A", to_frac(self.A))
-        object.__setattr__(self, "B", to_frac(self.B))
+        self.A, self.B = to_frac(A), to_frac(B)
         if not (-1 < self.B < self.A <= 1):
             raise ValueError(f"need -1 < B < A <= 1, got A={self.A}, B={self.B}")
 
@@ -268,8 +265,7 @@ class JanowskiParams:
         return (self.A - self.B) / (1 - self.B * self.B)
 
 
-@dataclass(frozen=True)
-class DiskReport:
+class DiskReport(NamedTuple):
     center: Fraction
     radius: Fraction
     inner_value: Fraction           # center - radius = (1 - A)/(1 - B)
@@ -306,8 +302,7 @@ def janowski_check(j: JanowskiParams) -> tuple[bool, DiskReport]:
 # scans of the target phi(z) = (1 + z/2)^2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiScanReport:
+class PhiScanReport(NamedTuple):
     grid_density: int
     radius_cap: float
     min_modulus: float

@@ -25,8 +25,7 @@ independently of this code path; any mismatch aborts the build.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .bernstein import BiPoly
 
@@ -73,8 +72,7 @@ def _table_poly(table: dict, by_x: bool) -> BiPoly:
     return BiPoly.from_terms(terms)
 
 
-@dataclass(frozen=True)
-class H3Reduction:
+class H3Reduction(NamedTuple):
     """The grouped majorant H and its two y-endpoint polynomials."""
 
     base: BiPoly        # y-free group

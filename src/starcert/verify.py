@@ -16,8 +16,8 @@ max_a4       numeric maximization of |a4| over the Schwarz parametrization
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bernstein import (UNIT_BOX, BiPoly, Box, CornerRule,
                         PositivityCertificate, bound_above, certify_positive,
@@ -33,16 +33,21 @@ __all__ = ["VerificationReport", "verify_h2", "verify_h3",
 DEFAULT_SEED = 20240605
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one pipeline: a claim, its exact bound, and evidence."""
+    """Outcome of one pipeline: a claim, its exact bound, and evidence.
 
-    claim: str
-    bound: Fraction
-    status: str                      # "verified" | "failed"
-    details: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
-    certificate: PositivityCertificate | None = None
+    Mutable: the CLI appends each file it writes to ``artifacts``."""
+
+    __slots__ = ("claim", "bound", "status", "details", "artifacts", "certificate")
+
+    def __init__(self, claim: str, bound: Fraction,
+                 status: str,                # "verified" | "failed"
+                 details: dict | None = None, artifacts: list | None = None,
+                 certificate: PositivityCertificate | None = None):
+        self.claim, self.bound, self.status = claim, bound, status
+        self.details = {} if details is None else details
+        self.artifacts = [] if artifacts is None else artifacts
+        self.certificate = certificate
 
     @property
     def verified(self) -> bool:
@@ -220,16 +225,82 @@ def _h3_param_abs(c1, gam, eta, rho):
     return np.abs(_h3_param(c1, gam, eta, rho))
 
 
+# numpy.random.default_rng(seed) is a PCG64 generator (O'Neill 2014: a
+# 128-bit LCG with the XSL-RR output) seeded by a SeedSequence; both are
+# reproduced below in integers, so the domination draws need not load
+# numpy.random, which costs more than drawing them here
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(seed: int) -> list:
+    """The four 64-bit words of numpy's
+    ``SeedSequence(seed).generate_state(4, np.uint64)``: the seed's 32-bit
+    words, least significant first, hashed into a pool of four and mixed."""
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    entropy = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _MASK32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _MASK32
+        value = value * mult & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return out ^ out >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult, halves = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ mult
+        mult = mult * 0x58F38DED & _MASK32
+        value = value * mult & _MASK32
+        halves.append(value ^ value >> 16)
+    return [halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _pcg64_doubles(seed: int, count: int) -> list:
+    """The first ``count`` values of ``np.random.default_rng(seed).random()``,
+    bit for bit: each PCG64 output's top 53 bits over 2^53."""
+    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(seed)
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
+    out = []
+    for _ in range(count):
+        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append((x >> 11) * 2.0 ** -53)
+    return out
+
+
 def _domination_samples(seed: int):
     """300 random (c1, gamma, eta, rho) in [0, 1] x disk^3, as arrays.
 
-    One draw of 300 x 7 uniforms; per round, in stream order: c1, then
-    modulus and argument of gamma, eta and rho.
+    The 300 x 7 uniforms of ``np.random.default_rng(seed).uniform(0,
+    (1, 1, 2 pi, 1, 2 pi, 1, 2 pi), (300, 7))``, bit for bit; per round, in
+    stream order: c1, then modulus and argument of gamma, eta and rho.
     """
     import numpy as np
     turn = 2 * math.pi
-    u = np.random.default_rng(seed).uniform(0, (1, 1, turn, 1, turn, 1, turn),
-                                            (300, 7))
+    u = (np.array(_pcg64_doubles(seed, 300 * 7)).reshape(300, 7)
+         * (1.0, 1.0, turn, 1.0, turn, 1.0, turn))
     return (u[:, 0], u[:, 1] * np.exp(1j * u[:, 2]),
             u[:, 3] * np.exp(1j * u[:, 4]), u[:, 5] * np.exp(1j * u[:, 6]))
 
@@ -353,8 +424,7 @@ def a4_family(t: float) -> float:
     return t * (1 - t * t) - (7 / 24) * t ** 3
 
 
-@dataclass(frozen=True)
-class A4Search:
+class A4Search(NamedTuple):
     value: float            # best |a4| found
     c1: float               # witness Schwarz data
     gamma: complex

@@ -1,6 +1,5 @@
 """Bernstein enclosure machinery: conversion, subdivision, certificates."""
 import copy
-import dataclasses
 import gc
 import json
 import math
@@ -608,7 +607,7 @@ def test_check_rejects_wrong_root_box():
 def test_check_rejects_wrong_length_witness(size):
     root = certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=0).root
     assert root.status == STATUS_FAILED
-    bad = dataclasses.replace(root, witness=(root.witness * 2)[:size])
+    bad = root._replace(witness=(root.witness * 2)[:size])
     with pytest.raises(CertificateError, match="witness"):
         check_certificate(POSITIVE_POLY, PositivityCertificate(bad), UNIT_BOX)
 
@@ -801,7 +800,7 @@ def _failure_claimed_on_a_positive_leaf(gap):
 def _unknown_status(gap):
     # from_json refuses the status before the checker sees it
     root = certify_positive(POSITIVE_POLY, UNIT_BOX, 3).root
-    bogus = dataclasses.replace(root, status="bogus")
+    bogus = root._replace(status="bogus")
     return POSITIVE_POLY, PositivityCertificate(bogus)
 
 

@@ -50,6 +50,16 @@ def test_expand_bad_spec(capsys):
                    "cannot read q: No such file or directory\n")
 
 
+@pytest.mark.parametrize("order", ["-3", "0"])
+@pytest.mark.parametrize("schwarz", ["z", "z^2", "file"])
+def test_expand_refuses_order_below_one(tmp_path, capsys, schwarz, order):
+    if schwarz == "file":
+        schwarz = tmp_path / "w.txt"
+        schwarz.write_text("1/2 1/4\n")
+    assert run(capsys, "expand", "--schwarz", str(schwarz), "--order", order) == (
+        64, "", "starcert expand: order must be >= 1\n")
+
+
 def test_schwarz_monomial_is_built_at_the_requested_order():
     assert _read_schwarz("z^1000000", 5).order == 5
 

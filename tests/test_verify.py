@@ -1,5 +1,4 @@
 """End-to-end pipelines and their reports."""
-import dataclasses
 import functools
 import itertools
 import json
@@ -221,6 +220,29 @@ def test_domination_samples_match_sequential_draws():
         assert np.array_equal(drawn, np.array(sequential))
 
 
+# SeedSequence hashes the seed's 32-bit words into a pool of four: one word,
+# two, and seven (the words past the pool are mixed in last)
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 0, 1, 2 ** 32 + 5,
+                                  12345678901234567890, 2 ** 200 + 12345])
+def test_pcg64_draws_match_numpy(seed):
+    assert np.array_equal(np.array(verify._pcg64_doubles(seed, 2100)),
+                          np.random.default_rng(seed).random(2100))
+    turn = 2 * math.pi
+    u = np.random.default_rng(seed).uniform(0, (1, 1, turn, 1, turn, 1, turn),
+                                            (300, 7))
+    expected = (u[:, 0], u[:, 1] * np.exp(1j * u[:, 2]),
+                u[:, 3] * np.exp(1j * u[:, 4]), u[:, 5] * np.exp(1j * u[:, 6]))
+    for drawn, reference in zip(verify._domination_samples(seed), expected):
+        assert np.array_equal(drawn, reference)
+
+
+def test_pcg64_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        verify._pcg64_doubles(-1, 1)
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+
+
 # ---------------------------------------------------------------------------
 # the vectorised checks fail on a broken reduction
 # ---------------------------------------------------------------------------
@@ -229,8 +251,8 @@ def test_lowered_majorant_fails_domination(monkeypatch, reduction, capsys):
     # the smallest sampled margin H - |9216 H3| is about 0.13; the endpoints
     # and the gap move with base, so every exact identity still holds and
     # only the domination samples see the fault
-    lowered = dataclasses.replace(
-        reduction, base=reduction.base - 1, endpoint_y1=reduction.endpoint_y1 - 1,
+    lowered = reduction._replace(
+        base=reduction.base - 1, endpoint_y1=reduction.endpoint_y1 - 1,
         endpoint_y0=reduction.endpoint_y0 - 1, gap=reduction.gap + 1)
     monkeypatch.setattr(verify, "build_h3_reduction", lambda: lowered)
     report = verify_h3(grid=4)
@@ -265,7 +287,7 @@ def test_broken_grid_kernel_fails_the_oracle(monkeypatch, capsys):
 def test_gap_must_be_target_minus_endpoint_y1(monkeypatch, reduction, capsys):
     # gap + 1 is still positive, so its certificate holds; only the
     # polynomial identity with endpoint_y1 catches the fault
-    shifted = dataclasses.replace(reduction, gap=reduction.gap + 1)
+    shifted = reduction._replace(gap=reduction.gap + 1)
     monkeypatch.setattr(verify, "build_h3_reduction", lambda: shifted)
     report = verify_h3(grid=4)
     d = report.details
@@ -343,8 +365,7 @@ def test_each_h2_exact_step_decides_alone(monkeypatch, capsys, name, stub, key, 
     ("base", 1), ("ycoef", 1), ("ycoef", -1), ("y2coef", 1), ("comp", 1)])
 def test_corrupted_group_fails_capped_between_endpoints(monkeypatch, reduction,
                                                         group, delta):
-    corrupted = dataclasses.replace(
-        reduction, **{group: getattr(reduction, group) + delta})
+    corrupted = reduction._replace(**{group: getattr(reduction, group) + delta})
     monkeypatch.setattr(verify, "build_h3_reduction", lambda: corrupted)
     report = verify_h3(grid=4)
     assert report.details["capped_between_endpoints"] is False
@@ -354,8 +375,7 @@ def test_corrupted_group_fails_capped_between_endpoints(monkeypatch, reduction,
 def test_capped_step_needs_ycoef_nonnegative(monkeypatch, reduction):
     # ycoef - 1 with matching endpoints keeps both identities; only the
     # Bernstein enclosure of ycoef (smallest coefficient -1) catches it
-    shifted = dataclasses.replace(
-        reduction, ycoef=reduction.ycoef - 1, base=reduction.base + 1)
+    shifted = reduction._replace(ycoef=reduction.ycoef - 1, base=reduction.base + 1)
     monkeypatch.setattr(verify, "build_h3_reduction", lambda: shifted)
     report = verify_h3(grid=4)
     assert report.details["capped_between_endpoints"] is True

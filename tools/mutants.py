@@ -70,6 +70,9 @@ MUTANTS = [
     Mutant("corner-linear-part", BERNSTEIN,
            "if (0, 0) in g or (1, 0) in g or (0, 1) in g:",
            "if (0, 0) in g:"),
+    # Box refuses an empty axis, in its constructor
+    Mutant("box-degenerate", BERNSTEIN,
+           "if not (pln * phd < phn * pld and", "if not (pln * phd <= phn * pld and"),
     # the midpoint rule the builder and the checker share: a split at 2/3
     # still gives valid boxes, so only the checker's direct conversion of
     # each node can tell
@@ -90,6 +93,10 @@ MUTANTS = [
            "and ycoef_ok and endpoint_ok", "and ycoef_ok"),
     Mutant("h3-sharpness", VERIFY,
            "and endpoint_ok and sharp == -MAJORANT_TARGET)", "and endpoint_ok)"),
+    # the PCG64 output that the domination draws reproduce: rotated left
+    Mutant("pcg64-rotation", VERIFY,
+           "x = (x >> rot | x << (64 - rot)) & _MASK64",
+           "x = (x << rot | x >> (64 - rot)) & _MASK64"),
     # verify_h2's exact conjunction
     Mutant("h2-identity", VERIFY,
            "exact = (identity_ok and cases_ok", "exact = (cases_ok"),
