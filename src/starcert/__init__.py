@@ -17,7 +17,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # each after the modules it imports, so resolving a name loads little else
-_MODULES = ("rationals", "series", "bernstein", "reduction", "radius", "gft", "verify")
+_MODULES = ("rationals", "poly", "reduction", "series", "bernstein", "radius", "gft",
+            "verify")
 
 
 def __getattr__(name: str):

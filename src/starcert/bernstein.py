@@ -1,10 +1,11 @@
 """Exact Bernstein-form positivity certificates for bivariate polynomials.
 
 The certified path has no floating point; only :meth:`BiPoly.evaluate`
-at float arguments (for the float oracles) rounds.  The central objects are
+at float arguments (for the float oracles) rounds.  The polynomials are
+:class:`~starcert.poly.BiPoly`, read as their integer matrix over one
+denominator.  The central objects here are
 
-* :class:`BiPoly` - a bivariate polynomial in the power basis,
-* :class:`BernsteinPatch` - its Bernstein coefficients over a rectangle,
+* :class:`BernsteinPatch` - Bernstein coefficients over a rectangle,
   held as an integer matrix over one common denominator,
 * :class:`PositivityCertificate` - a branch-and-bound tree whose leaves
   prove ``f > 0`` (strict positivity via coefficient positivity), or
@@ -26,36 +27,26 @@ from __future__ import annotations
 import json
 import threading
 from fractions import Fraction
-from functools import cached_property, reduce
 from math import comb, gcd, lcm
 from operator import mul
 from sys import getsizeof
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
+from .poly import BiPoly
 from .rationals import as_fraction, format_rational, parse_rational
 
 __all__ = [
-    "BiPoly", "Box", "UNIT_BOX", "BernsteinPatch", "CornerRule", "CornerSplit",
+    "Box", "UNIT_BOX", "BernsteinPatch", "CornerRule", "CornerSplit",
     "CertificateNode", "PositivityCertificate", "CertificateError",
     "to_bernstein", "enclosure", "subdivide",
     "corner_split", "corner_estimate",
     "certify_positive", "bound_above", "check_certificate",
-    "parse_poly_text", "format_poly_text",
 ]
 
 
 class CertificateError(Exception):
     """A certificate failed independent re-validation."""
 
-
-# ======================================================================
-# polynomials in the power basis
-# ======================================================================
-
-# BiPoly.from_terms (and so parse_poly_text) refuses degrees above this:
-# the dense (m+1) x (n+1) matrix of a 'bidegree 100000 100000' header alone
-# would be 10^10 entries.  The certified polynomials have bidegree (6, 4).
-MAX_DEGREE = 256
 
 # certify_positive refuses a max_depth above this.  Its tree is built by
 # one recursive call per level, so a deep budget on a polynomial with a
@@ -68,264 +59,6 @@ MAX_DEPTH = 64
 # patches; where the maximum lies along a curve, as for -(p - x - 1/3)^2,
 # the patches the cutoff keeps still double per level.
 MAX_BOUND_DEPTH = 12
-
-
-def _freeze(rows: Iterable[Iterable]) -> tuple:
-    out = tuple(tuple(as_fraction(c) for c in row) for row in rows)
-    if not out or not out[0]:
-        raise ValueError("coefficient matrix must be at least 1x1")
-    width = len(out[0])
-    if any(len(r) != width for r in out):
-        raise ValueError("coefficient rows must have equal length")
-    return out
-
-
-class BiPoly:
-    """f(p, x) = sum coeffs[i][j] * p^i * x^j with exact coefficients."""
-
-    def __init__(self, coeffs):
-        self.coeffs = _freeze(coeffs)
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "BiPoly":
-        return cls(((as_fraction(c),),))
-
-    @classmethod
-    def var_p(cls) -> "BiPoly":
-        return cls(((Fraction(0),), (Fraction(1),)))
-
-    @classmethod
-    def var_x(cls) -> "BiPoly":
-        return cls(((Fraction(0), Fraction(1)),))
-
-    @classmethod
-    def from_terms(cls, terms, bidegree: tuple[int, int] | None = None) -> "BiPoly":
-        """Build from {(i, j): coeff} or an iterable of (i, j, coeff).
-
-        The matrix is dense, so each degree must be at most MAX_DEGREE;
-        a larger one raises ValueError before anything is allocated.
-        """
-        if isinstance(terms, dict):
-            items = [(i, j, c) for (i, j), c in terms.items()]
-        else:
-            items = [tuple(t) for t in terms]
-        m = max((i for i, _, _ in items), default=0)
-        n = max((j for _, j, _ in items), default=0)
-        if bidegree is not None:
-            if bidegree[0] < m or bidegree[1] < n:
-                raise ValueError(f"terms exceed declared bidegree {bidegree}")
-            m, n = bidegree
-        if max(m, n) > MAX_DEGREE:
-            raise ValueError(f"bidegree ({m}, {n}) exceeds the cap of "
-                             f"{MAX_DEGREE} per variable")
-        rows = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-        seen = set()
-        for i, j, c in items:
-            if i < 0 or j < 0:
-                raise ValueError("exponents must be nonnegative")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate term for exponent ({i}, {j})")
-            seen.add((i, j))
-            rows[i][j] = as_fraction(c)
-        return cls(rows)
-
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def bidegree(self) -> tuple[int, int]:
-        return len(self.coeffs) - 1, len(self.coeffs[0]) - 1
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        m, n = self.bidegree
-        if 0 <= i <= m and 0 <= j <= n:
-            return self.coeffs[i][j]
-        return Fraction(0)
-
-    def terms(self) -> Iterator[tuple[int, int, Fraction]]:
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c != 0:
-                    yield i, j, c
-
-    @cached_property
-    def _integers(self) -> tuple[tuple, int]:
-        """The coefficients as an integer matrix over their lcm denominator."""
-        d = lcm(*(c.denominator for row in self.coeffs for c in row))
-        return tuple(tuple(c.numerator * (d // c.denominator) for c in row)
-                     for row in self.coeffs), d
-
-    @cached_property
-    def _integer_terms(self) -> tuple:
-        """The nonzero entries of ``_integers`` as (i, j, integer)."""
-        return tuple((i, j, c) for i, row in enumerate(self._integers[0])
-                     for j, c in enumerate(row) if c)
-
-    def trim(self) -> "BiPoly":
-        """Drop zero high-order rows/columns (the zero polynomial stays 1x1)."""
-        rows = [list(r) for r in self.coeffs]
-        while len(rows) > 1 and all(c == 0 for c in rows[-1]):
-            rows.pop()
-        while len(rows[0]) > 1 and all(r[-1] == 0 for r in rows):
-            for r in rows:
-                r.pop()
-        return BiPoly(rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.trim().coeffs == other.trim().coeffs
-
-    def __hash__(self):
-        return hash(self.trim().coeffs)
-
-    def __repr__(self) -> str:
-        m, n = self.bidegree
-        k = sum(1 for _ in self.terms())
-        return f"BiPoly(bidegree=({m},{n}), terms={k})"
-
-    # -- ring operations -------------------------------------------------
-
-    def _padded(self, m: int, n: int) -> list:
-        rows = [list(r) + [Fraction(0)] * (n + 1 - len(r)) for r in self.coeffs]
-        rows += [[Fraction(0)] * (n + 1) for _ in range(m + 1 - len(rows))]
-        return rows
-
-    def __add__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            other = BiPoly.constant(other)
-        m = max(self.bidegree[0], other.bidegree[0])
-        n = max(self.bidegree[1], other.bidegree[1])
-        a, b = self._padded(m, n), other._padded(m, n)
-        return BiPoly([[a[i][j] + b[i][j] for j in range(n + 1)] for i in range(m + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly([[-c for c in row] for row in self.coeffs])
-
-    def __sub__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            other = BiPoly.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BiPoly":
-        return BiPoly.constant(other) + (-self)
-
-    def __mul__(self, other) -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            f = as_fraction(other)
-            return BiPoly([[f * c for c in row] for row in self.coeffs])
-        m = self.bidegree[0] + other.bidegree[0]
-        n = self.bidegree[1] + other.bidegree[1]
-        out = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
-        for i, j, c in self.terms():
-            for k, l, d in other.terms():
-                out[i + k][j + l] += c * d
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "BiPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BiPoly.constant(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
-    @cached_property
-    def _floats(self) -> tuple:
-        return tuple(tuple(float(c) for c in row) for row in self.coeffs)
-
-    def evaluate(self, p, x):
-        """An exact Fraction if p and x are int or Fraction, summed over
-        the nonzero terms only; else Horner over the coefficients rounded
-        to float."""
-        if not (isinstance(p, (int, Fraction)) and isinstance(x, (int, Fraction))):
-            rows = [reduce(lambda r, c: r * x + c, reversed(row)) for row in self._floats]
-            return reduce(lambda acc, r: acc * p + r, reversed(rows))
-        # homogenised: sum a_ij pn^i pd^(m-i) xn^j xd^(n-j) over nonzero a_ij
-        (pn, pd), (xn, xd) = p.as_integer_ratio(), x.as_integer_ratio()
-        m, n = self.bidegree
-        pw, xw = _homogeneous_powers(pn, pd, m), _homogeneous_powers(xn, xd, n)
-        acc = sum(c * pw[i] * xw[j] for i, j, c in self._integer_terms)
-        return Fraction(acc, self._integers[1] * pw[0] * xw[0])
-
-
-def _homogeneous_powers(a: int, b: int, m: int) -> list:
-    """[a^i b^(m-i) for i = 0..m], in about 3m products."""
-    powers = [1]
-    for _ in range(m):
-        powers.append(powers[-1] * b)
-    out, ai = [], 1
-    for bi in reversed(powers):
-        out.append(ai * bi)
-        ai *= a
-    return out
-
-
-# ======================================================================
-# the polynomial text format
-# ======================================================================
-#
-#   # optional comments
-#   bidegree <m> <n>
-#   <i> <j> <num>/<den>
-#
-# One term per line; "/den" may be omitted for integers.
-
-def parse_poly_text(text: str) -> BiPoly:
-    header: tuple[int, int] | None = None
-    terms: list[tuple[int, int, Fraction]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if header is None:
-            if parts[0] != "bidegree" or len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'bidegree <m> <n>' header")
-            try:
-                header = (int(parts[1]), int(parts[2]))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad bidegree") from exc
-            if header[0] < 0 or header[1] < 0:
-                raise ValueError(f"line {lineno}: bidegree must be nonnegative")
-            continue
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected '<i> <j> <coeff>'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad exponents") from exc
-        if not (0 <= i <= header[0] and 0 <= j <= header[1]):
-            raise ValueError(f"line {lineno}: exponent ({i}, {j}) outside bidegree {header}")
-        if (i, j) in seen:
-            raise ValueError(f"line {lineno}: duplicate term for ({i}, {j})")
-        seen.add((i, j))
-        try:
-            c = parse_rational(parts[2])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        terms.append((i, j, c))
-    if header is None:
-        raise ValueError("missing 'bidegree <m> <n>' header")
-    return BiPoly.from_terms(terms, bidegree=header)
-
-
-def format_poly_text(poly: BiPoly) -> str:
-    m, n = poly.bidegree
-    lines = [f"bidegree {m} {n}"]
-    for i, j, c in sorted(poly.terms()):
-        lines.append(f"{i} {j} {format_rational(c)}")
-    return "\n".join(lines) + "\n"
 
 
 # ======================================================================
@@ -380,11 +113,13 @@ class Box:
         return self.x_hi - self.x_lo
 
     def quadrants(self) -> tuple["Box", "Box", "Box", "Box"]:
-        """Midpoint quadrisection in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi)."""
-        return tuple(Box(Fraction(pln, pld), Fraction(phn, phd),
-                         Fraction(xln, xld), Fraction(xhn, xhd))
-                     for (pln, pld, phn, phd), (xln, xld, xhn, xhd)
-                     in _quadrant_ends(self._ends))
+        """Midpoint quadrisection in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi).
+        The midpoints, the high ends of the first quadrant, are the only
+        new ends."""
+        (_, _, pn, pd), (_, _, xn, xd) = _quadrant_ends(self._ends)[0]
+        pm, xm = Fraction(pn, pd), Fraction(xn, xd)
+        return tuple(Box(*pe, *xe) for pe in ((self.p_lo, pm), (pm, self.p_hi))
+                     for xe in ((self.x_lo, xm), (xm, self.x_hi)))
 
 
 def _quadrant_ends(ends: tuple) -> list:

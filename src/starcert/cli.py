@@ -162,8 +162,8 @@ def _cmd_certify_h3(args) -> int:
 
 def _cmd_bernstein(args) -> int:
     from .bernstein import (UNIT_BOX, Box, CertificateError, CornerRule,
-                            bound_above, certify_positive, check_certificate,
-                            parse_poly_text)
+                            bound_above, certify_positive, check_certificate)
+    from .poly import parse_poly_text
     if args.bound_above:
         mode, foreign = "--bound-above", {"--out": args.out,
                                           "--corner": args.corner,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bernstein import BiPoly
+from .poly import BiPoly
 
 __all__ = ["H3Reduction", "build_h3_reduction", "MAJORANT_TARGET", "HANKEL3_SCALE"]
 

@@ -19,11 +19,12 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bernstein import (UNIT_BOX, BiPoly, Box, CornerRule,
-                        PositivityCertificate, bound_above, certify_positive,
-                        check_certificate, enclosure, to_bernstein)
+from .bernstein import (UNIT_BOX, Box, CornerRule, PositivityCertificate,
+                        bound_above, certify_positive, check_certificate,
+                        enclosure, to_bernstein)
 from .gft import (_BLOCK_SAMPLES, _h2_slice, _within_budget, h2_envelope,
                   h3_schwarz_poly, hankel2, schwarz_to_coeffs)
+from .poly import BiPoly
 from .rationals import format_rational
 from .reduction import HANKEL3_SCALE, MAJORANT_TARGET, build_h3_reduction
 

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starcert import bernstein
-from starcert.bernstein import (MAX_BOUND_DEPTH, MAX_DEGREE, MAX_DEPTH,
-                                UNIT_BOX, BiPoly, Box, CertificateError, CornerRule,
+from starcert.bernstein import (MAX_BOUND_DEPTH, MAX_DEPTH,
+                                UNIT_BOX, Box, CertificateError, CornerRule,
                                 CornerSplit, PositivityCertificate,
                                 STATUS_CORNER, STATUS_FAILED, STATUS_POSITIVE,
                                 bound_above, certify_positive,
                                 check_certificate, corner_estimate,
-                                corner_split, enclosure, format_poly_text,
-                                parse_poly_text, subdivide, to_bernstein)
+                                corner_split, enclosure, subdivide, to_bernstein)
+from starcert.poly import MAX_DEGREE, BiPoly, format_poly_text, parse_poly_text
 
 F = Fraction
 

@@ -10,8 +10,8 @@ import pytest
 
 import starcert
 
-MODULES = ("rationals", "series", "bernstein", "reduction", "radius", "gft",
-           "verify")
+MODULES = ("rationals", "poly", "series", "bernstein", "reduction", "radius",
+           "gft", "verify")
 # names the package exports that were once missing from every module's __all__
 HISTORIC = ("UNIT_BOX", "DEFAULT_ORDER", "parse_rational", "format_rational",
             "as_fraction")
@@ -43,6 +43,18 @@ def _fresh(code: str, *args: str) -> str:
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src), check=True)
     return proc.stdout.splitlines()[-1]
+
+
+def test_building_the_reduction_loads_only_the_ring():
+    # the cold start that perfbench's setup probe times: the reduction
+    # needs the integer ring, not the Bernstein kernel, series or numpy
+    loaded = _fresh("import json, sys\n"
+                    "import starcert\n"
+                    "starcert.build_h3_reduction()\n"
+                    "print(json.dumps(sorted(m for m in sys.modules\n"
+                    "                        if m.split('.')[0] in ('starcert', 'numpy'))))")
+    assert json.loads(loaded) == ["starcert", "starcert.poly", "starcert.rationals",
+                                  "starcert.reduction"]
 
 
 def test_exact_subcommands_do_not_load_numpy(tmp_path):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from starcert import bernstein, gft, verify
-from starcert.bernstein import BiPoly
+from starcert.poly import BiPoly
 from starcert.cli import main
 from starcert.verify import (DEFAULT_SEED, VerificationReport, a4_family,
                              max_a4, verify_h2, verify_h3)

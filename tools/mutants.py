@@ -40,6 +40,7 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".bench_ou
                                 ".pytest_cache", "*.egg-info")
 
 BERNSTEIN = "src/starcert/bernstein.py"
+POLY = "src/starcert/poly.py"
 VERIFY = "src/starcert/verify.py"
 GFT = "src/starcert/gft.py"
 SELF_TEST = "tests/test_mutants.py"
@@ -78,6 +79,13 @@ MUTANTS = [
     # each node can tell
     Mutant("quadrant-midpoint", BERNSTEIN,
            "ln * hd + hn * ld, 2 * ld * hd", "ln * hd + 2 * hn * ld, 3 * ld * hd"),
+    # the integer ring: a sum's common-denominator scales swapped, and no
+    # gcd, so results keep a common factor and equal polynomials can
+    # store different pairs
+    Mutant("sum-scale", POLY,
+           "sa, sb = d // da, d // db", "sa, sb = d // db, d // da"),
+    Mutant("canonical-gcd", POLY,
+           "g = den if den == 1 else gcd(den, *chain.from_iterable(rows))", "g = 1"),
     # verify_h3's exact conjunction, one step dropped at a time
     Mutant("h3-gap", VERIFY,
            "exact = (gap_ok and cert.succeeded", "exact = (cert.succeeded"),
