@@ -28,7 +28,7 @@ import json
 import threading
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from sys import getsizeof
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -76,14 +76,26 @@ class Box:
     def __init__(self, p_lo, p_hi, x_lo, x_hi):
         ends = [end if type(end) is Fraction else as_fraction(end)
                 for end in (p_lo, p_hi, x_lo, x_hi)]
+        pl, ph, xl, xh = [end.as_integer_ratio() for end in ends]
+        self._set(ends, (pl + ph, xl + xh))
+
+    @classmethod
+    def _from_reduced(cls, ends: Sequence[Fraction], axes: tuple) -> "Box":
+        """The box on the Fraction ``ends`` whose reduced integer ends per
+        axis are ``axes``, as in ``Box._ends``; no end is converted again."""
+        box = cls.__new__(cls)
+        box._set(ends, axes)
+        return box
+
+    def _set(self, ends: Sequence[Fraction], axes: tuple) -> None:
+        """The one constructor path: the ends, their reduced integers per
+        axis, (lo num, den, hi num, den), and the degeneracy check."""
         self.p_lo, self.p_hi, self.x_lo, self.x_hi = ends
-        ends = [end.as_integer_ratio() for end in ends]
         # denominators are positive, so lo < hi compares cross-products
-        (pln, pld), (phn, phd), (xln, xld), (xhn, xhd) = ends
+        (pln, pld, phn, phd), (xln, xld, xhn, xhd) = axes
         if not (pln * phd < phn * pld and xln * xhd < xhn * xld):
             raise ValueError(f"degenerate box {self}")
-        # the reduced integer ends per axis, (lo num, den, hi num, den)
-        self._ends = (ends[0] + ends[1], ends[2] + ends[3])
+        self._ends = axes
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_lo, self.p_hi, self.x_lo, self.x_hi)
@@ -116,10 +128,12 @@ class Box:
         """Midpoint quadrisection in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi).
         The midpoints, the high ends of the first quadrant, are the only
         new ends."""
-        (_, _, pn, pd), (_, _, xn, xd) = _quadrant_ends(self._ends)[0]
+        quads = _quadrant_ends(self._ends)
+        (_, _, pn, pd), (_, _, xn, xd) = quads[0]
         pm, xm = Fraction(pn, pd), Fraction(xn, xd)
-        return tuple(Box(*pe, *xe) for pe in ((self.p_lo, pm), (pm, self.p_hi))
-                     for xe in ((self.x_lo, xm), (xm, self.x_hi)))
+        ends = [(*pe, *xe) for pe in ((self.p_lo, pm), (pm, self.p_hi))
+                for xe in ((self.x_lo, xm), (xm, self.x_hi))]
+        return tuple(map(Box._from_reduced, ends, quads))
 
 
 def _quadrant_ends(ends: tuple) -> list:
@@ -187,28 +201,33 @@ _AXIS_CACHE_BYTES = 1 << 20
 
 
 class _AxisMaps:
-    """Bounded memo of the fused per-axis maps of :func:`to_bernstein`.
+    """Bounded memo of the fused per-axis maps of :func:`to_bernstein`, the
+    packed p-axis maps of :func:`check_certificate` and the corner shifts
+    of :func:`corner_split`.
 
     The gain rests on boxes that repeat: every node box of a certificate
     is a dyadic cell of its root box at one degree, so re-checking one
     certificate, or many over one root box, meets the same few intervals
-    again and again.  The retained size, counted by :func:`_retained_size`,
-    never exceeds ``_AXIS_CACHE_BYTES``, whatever the degree or the size of
-    the interval's integers: the oldest entries go first, and a map larger
+    again and again.  Entries are ``(value, scale, size, bits)``; the key
+    tells the kind: ``(m, ln, ld, hn, hd)`` an axis map, the same and a
+    field width for its packed columns, ``(m, cn, cd, side)`` a corner
+    shift.  The retained size, counted by :func:`_retained_size`, never
+    exceeds ``_AXIS_CACHE_BYTES``, whatever the degree or the size of the
+    interval's integers: the oldest entries go first, and an entry larger
     than the limit alone is returned but not kept.  Only the memo's dict
     table (about 100 bytes an entry) comes on top.
     """
 
     def __init__(self):
         self.bytes = 0
-        self._maps: dict = {}           # key -> (map, scale, size)
+        self._maps: dict = {}           # key -> (value, scale, size, bits)
         self._lock = threading.Lock()   # guards inserts and evictions
 
     def get(self, key):
         return self._maps.get(key)
 
-    def put(self, key, fused: tuple, scale: int) -> tuple:
-        entry = (fused, scale, _retained_size(key, fused, scale))
+    def put(self, key, value: tuple, scale: int, bits: int = 0) -> tuple:
+        entry = (value, scale, _retained_size(key, value, scale), bits)
         limit = _AXIS_CACHE_BYTES
         if entry[2] <= limit:
             with self._lock:
@@ -220,26 +239,31 @@ class _AxisMaps:
         return entry
 
 
-def _retained_size(key: tuple, fused: tuple, scale: int) -> int:
-    """Bytes a memo entry holds, as sys.getsizeof counts them: the key and
-    its integers, the map's tuples and integers, the scale, and the
-    (map, scale, size) entry tuple with its size integer."""
-    size = getsizeof
-    return (size(key) + sum(map(size, key)) + size(fused) + size(scale)
-            + sum(size(row) + sum(map(size, row)) for row in fused)
-            + size((fused, scale, 0)) + size(1 << 30))
+def _deep_size(obj) -> int:
+    """sys.getsizeof of an integer, or of a tuple and all it holds."""
+    size = getsizeof(obj)
+    return size + sum(map(_deep_size, obj)) if type(obj) is tuple else size
+
+
+def _retained_size(key: tuple, value: tuple, scale: int) -> int:
+    """Bytes a memo entry holds, as sys.getsizeof counts them: the key, the
+    value (a matrix or a tuple of packed integers), the scale, and the
+    entry tuple with its size and bits integers."""
+    return (_deep_size(key) + _deep_size(value) + getsizeof(scale)
+            + getsizeof((value, scale, 0, 0)) + 2 * getsizeof(1 << 30))
 
 
 _AXIS_MAPS = _AxisMaps()
 
 
-def _axis_map(m: int, ln: int, ld: int, hn: int, hd: int) -> tuple[tuple, int]:
-    """Integer matrix M and scale L q^m: M/(L q^m) maps the power
-    coefficients of a degree-m polynomial in t to its Bernstein
-    coefficients over [ln/ld, hn/hd] (both reduced, ld, hd > 0), with
-    q = lcm(ld, hd), L = lcm of the C(m, k).  By blossoming (Ramshaw 1989),
-    coefficient j of t^k is e_k(lo^(m-j), hi^j)/C(m, k): column k of a
-    :func:`_pencil` row times L/C(m, k).  Memoised in ``_AXIS_MAPS``."""
+def _axis_map(m: int, ln: int, ld: int, hn: int, hd: int) -> tuple:
+    """The memo entry ``(M, L q^m, size, bits)`` of the integer matrix M:
+    M/(L q^m) maps the power coefficients of a degree-m polynomial in t to
+    its Bernstein coefficients over [ln/ld, hn/hd] (both reduced, ld,
+    hd > 0), with q = lcm(ld, hd), L = lcm of the C(m, k), and ``bits``
+    the largest bit length of an entry of M.  By blossoming (Ramshaw
+    1989), coefficient j of t^k is e_k(lo^(m-j), hi^j)/C(m, k): column k of
+    a :func:`_pencil` row times L/C(m, k).  Memoised in ``_AXIS_MAPS``."""
     key = (m, ln, ld, hn, hd)
     entry = _AXIS_MAPS.get(key)
     if entry is None:
@@ -247,9 +271,14 @@ def _axis_map(m: int, ln: int, ld: int, hn: int, hd: int) -> tuple[tuple, int]:
         big = lcm(*(comb(m, k) for k in range(m + 1)))
         weights = [big // comb(m, k) for k in range(m + 1)]
         rows = _pencil(m, q, ln * (q // ld), q, hn * (q // hd))
-        entry = _AXIS_MAPS.put(key, tuple(tuple(map(mul, r, weights)) for r in rows),
-                               big * q ** m)
-    return entry[0], entry[1]
+        fused = tuple(tuple(map(mul, r, weights)) for r in rows)
+        entry = _AXIS_MAPS.put(key, fused, big * q ** m, _bits(fused))
+    return entry
+
+
+def _bits(rows) -> int:
+    """The largest bit length of an entry's absolute value."""
+    return max(abs(v).bit_length() for row in rows for v in row)
 
 
 def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
@@ -262,8 +291,8 @@ def to_bernstein(poly: BiPoly, box: Box) -> BernsteinPatch:
     """
     m, n = poly.bidegree
     ints, den = poly._integers
-    mp, dp = _axis_map(m, *box._ends[0])
-    mx, dx = _axis_map(n, *box._ends[1])
+    mp, dp, _, _ = _axis_map(m, *box._ends[0])
+    mx, dx, _, _ = _axis_map(n, *box._ends[1])
     return BernsteinPatch(box, _x_stage(_p_stage(ints, mp), mx), den * dp * dx)
 
 
@@ -353,13 +382,10 @@ def corner_split(poly: BiPoly, box: Box,
         return None
     m, n = poly.bidegree
     rows, den = poly._integers
-    # t = c + u at a low end, c - u at a high one: pencil row i holds the
-    # u-coefficients of t^i den(c)^degree
-    (pn, pd), (xn, xd) = cp.as_integer_ratio(), cx.as_integer_ratio()
-    mp = list(zip(*_pencil(m, pd, 0, pn, pd if cp == box.p_lo else -pd)))
-    mx = list(zip(*_pencil(n, xd, 0, xn, xd if cx == box.x_lo else -xd)))
+    mp, sp, _, _ = _corner_shift(m, *cp.as_integer_ratio(), 1 if cp == box.p_lo else -1)
+    mx, sx, _, _ = _corner_shift(n, *cx.as_integer_ratio(), 1 if cx == box.x_lo else -1)
     # the nonzero terms of the recentered polynomial, in row order
-    scale = den * pd ** m * xd ** n
+    scale = den * sp * sx
     g = {(i, j): Fraction(c, scale) for i, row in enumerate(_x_stage(_p_stage(rows, mp), mx))
          for j, c in enumerate(row) if c}
     if (0, 0) in g or (1, 0) in g or (0, 1) in g:
@@ -368,6 +394,20 @@ def corner_split(poly: BiPoly, box: Box,
     return CornerSplit(
         quad_pp=g.get((2, 0), 0), quad_px=g.get((1, 1), 0), quad_xx=g.get((0, 2), 0),
         tail=tail, half_width=max(box.p_width, box.x_width))
+
+
+def _corner_shift(m: int, cn: int, cd: int, side: int) -> tuple:
+    """The memo entry ``(S, cd^m, size, 0)`` of the shift t = c + side u
+    with c = cn/cd reduced: S/cd^m maps the power coefficients of a
+    degree-m polynomial in t to those in u.  ``side`` is 1 at a low end of
+    the box and -1 at a high one.  Row i of the :func:`_pencil` holds the
+    u-coefficients of t^i cd^m, so S is its transpose."""
+    key = (m, cn, cd, side)
+    entry = _AXIS_MAPS.get(key)
+    if entry is None:
+        entry = _AXIS_MAPS.put(key, tuple(zip(*_pencil(m, cd, 0, cn, side * cd))),
+                               cd ** m)
+    return entry
 
 
 def corner_estimate(split: CornerSplit) -> tuple[bool, Fraction]:
@@ -447,17 +487,21 @@ class PositivityCertificate(NamedTuple):
     @classmethod
     def from_json_doc(cls, doc: dict,
                       corner_rule: Optional[CornerRule] = None) -> "PositivityCertificate":
-        # box ends repeat across nodes: parse each distinct string once;
+        # rationals repeat across nodes, box ends above all: read each
+        # distinct string once, as a Fraction and its reduced integer pair;
         # anything else goes to parse_rational, which raises ValueError
+        # unless it is a str subclass
         parsed: dict = {}
 
-        def parse(text):
+        def parse(text) -> tuple[Fraction, tuple[int, int]]:
             if type(text) is not str:
-                return parse_rational(text)
-            value = parsed.get(text)
-            if value is None:
-                value = parsed[text] = parse_rational(text)
-            return value
+                value = parse_rational(text)
+                return value, value.as_integer_ratio()
+            pair = parsed.get(text)
+            if pair is None:
+                value = parse_rational(text)
+                pair = parsed[text] = (value, value.as_integer_ratio())
+            return pair
 
         return cls(_node_from_dict(doc, parse), corner_rule)
 
@@ -494,28 +538,27 @@ def _rational_list(doc: dict, key: str, count: int, parse) -> tuple:
 
 
 def _node_from_dict(doc: dict, parse) -> CertificateNode:
-    """One node of a certificate document, its rationals read by ``parse``;
-    ValueError on any malformed part."""
+    """One node of a certificate document, its rationals read by ``parse``
+    as (Fraction, reduced integer pair); ValueError on any malformed part."""
     if not isinstance(doc, dict):
         raise ValueError(f"certificate node must be an object, "
                          f"got {type(doc).__name__}")
     try:
-        box = Box(*_rational_list(doc, "box", 4, parse))
+        (pl, a), (ph, b), (xl, c), (xh, d) = _rational_list(doc, "box", 4, parse)
+        box = Box._from_reduced((pl, ph, xl, xh), (a + b, c + d))
         status = doc["status"]
         if status not in (STATUS_POSITIVE, STATUS_SUBDIVIDED, STATUS_CORNER, STATUS_FAILED):
             raise ValueError(f"unknown node status {status!r}")
         children = doc.get("children", [])
         if not isinstance(children, list):
             raise ValueError("certificate node 'children' must be a list")
+        # positional: box, status, min_bcoeff, max_bcoeff, children, margin, witness
         node = CertificateNode(
-            box=box,
-            status=status,
-            min_bcoeff=parse(doc["min_bcoeff"]),
-            max_bcoeff=parse(doc["max_bcoeff"]),
-            children=tuple(_node_from_dict(c, parse) for c in children),
-            margin=parse(doc["margin"]) if "margin" in doc else None,
-            witness=_rational_list(doc, "witness", 3, parse) if "witness" in doc else None,
-        )
+            box, status, parse(doc["min_bcoeff"])[0], parse(doc["max_bcoeff"])[0],
+            tuple([_node_from_dict(c, parse) for c in children]),
+            parse(doc["margin"])[0] if "margin" in doc else None,
+            tuple(value for value, _ in _rational_list(doc, "witness", 3, parse))
+            if "witness" in doc else None)
     except KeyError as exc:
         raise ValueError(f"certificate node missing field {exc}") from exc
     return node
@@ -612,6 +655,73 @@ def bound_above(poly: BiPoly, box: Box = UNIT_BOX, depth: int = 0) -> Fraction:
 # independent re-validation
 # ======================================================================
 
+# The checker's conversion by Kronecker substitution: the m + 1 rows of
+# mp * ints * mx^T ride in one integer, row r in bits [W r, W r + W), so
+# one product of wide integers does the work of m + 1 small ones.
+#
+# Width.  An entry is sum_{i,k} mp[r][i] ints[i][k] mx[c][k], (m + 1)(n + 1)
+# products, each below 2^(bp + bi + bx) in absolute value, with bX the
+# largest bit length in X; and m + 1 < 2^bitlen(m + 1), likewise n + 1.  So
+# |entry| < 2^(W - 1) for every W >= bp + bi + bx + bitlen(m + 1)
+# + bitlen(n + 1) + 1, and adding the bias 2^(W - 1) to every field puts
+# each field in [0, 2^W): the sum's base-2^W digits are the biased entries,
+# with no carry or borrow between fields.  W is rounded up to whole bytes,
+# and fixed-width big-endian byte strings of equal length compare in
+# numeric order, so min and max run on the bytes and only the two extreme
+# fields are decoded.
+
+def _field_width(bp: int, bi: int, bx: int, m: int, n: int) -> int:
+    """The packed field width W in bits, a multiple of 8 (see above)."""
+    return 8 * -(-(bp + bi + bx + (m + 1).bit_length() + (n + 1).bit_length() + 1) // 8)
+
+
+def _pack_columns(mp: Sequence[Sequence[int]], width: int) -> tuple[tuple, int]:
+    """Column i of ``mp`` packed as sum_r mp[r][i] 2^(W r), and the bias
+    sum_r 2^(W - 1) 2^(W r) that makes every field of a sum nonnegative."""
+    shifts = [width * r for r in range(len(mp))]
+    return (tuple(sum(v << s for v, s in zip(col, shifts)) for col in zip(*mp)),
+            sum(1 << (s + width - 1) for s in shifts))
+
+
+def _packed_columns(m: int, ends: tuple, width: int) -> tuple:
+    """The memo entry ``(columns, bias, size, 0)`` of :func:`_pack_columns`
+    for the degree-m map over the interval ``ends``."""
+    key = (m, *ends, width)
+    entry = _AXIS_MAPS.get(key)
+    if entry is None:
+        entry = _AXIS_MAPS.put(key, *_pack_columns(_axis_map(m, *ends)[0], width))
+    return entry
+
+
+def _packed_stage(cols: Sequence[Sequence[int]], packed: Sequence[int]) -> list:
+    """The p stage mp * ints, its rows packed: entry k is
+    sum_i ints[i][k] * packed[i] for column k of ints."""
+    return [sum(map(mul, col, packed)) for col in cols]
+
+
+def _field_splitter(size: int, count: int) -> itemgetter:
+    """A callable that cuts a byte string into its ``count`` fields of
+    ``size`` bytes, as a tuple; the first field is taken twice, so that
+    one field still comes as a tuple."""
+    return itemgetter(slice(0, size),
+                      *(slice(k, k + size) for k in range(0, size * count, size)))
+
+
+def _packed_range(stage: Sequence[int], bias: int, width: int, split: itemgetter,
+                  mx: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """(min, max) entry of mp * ints * mx^T, from one packed product per
+    row of ``mx``: ``stage`` is the packed p stage of :func:`_packed_stage`,
+    ``bias`` that of :func:`_pack_columns`, and ``split`` the
+    :func:`_field_splitter` of all the products' fields of ``width`` bits."""
+    # bytes per product: the top bit of the bias is the last of its m + 1 fields
+    length = bias.bit_length() >> 3
+    fields = split(b"".join([(sum(map(mul, stage, row)) + bias).to_bytes(length, "big")
+                             for row in mx]))
+    half = 1 << (width - 1)
+    return (int.from_bytes(min(fields), "big") - half,
+            int.from_bytes(max(fields), "big") - half)
+
+
 def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                       box: Box) -> bool:
     """Re-verify every claim in a certificate from scratch.
@@ -621,9 +731,11 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     splits, so the two conversion routes cross-check each other), corner
     margins are recomputed from the polynomial, and subdivision geometry
     is checked to be exact quadrisection.  The conversion is the one of
-    :func:`to_bernstein`, p axis first: nodes in one column of the tree
-    share their p-interval, so each distinct p-interval is mapped once per
-    call and each node applies only its own x-axis map.
+    :func:`to_bernstein`, p axis first, with the m + 1 rows of the p axis
+    packed into one integer (see :func:`_field_width`): nodes in one column
+    of the tree share their p-interval, so each distinct p-interval is
+    packed and mapped once per call, and each node makes one packed
+    product per row of its own x-axis map.
 
     The walk runs on integers: each node's box carries its ends as reduced
     (numerator, denominator) pairs (``Box._ends``).  A subdivided node's
@@ -640,8 +752,20 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
         raise CertificateError(f"root box {cert.root.box} does not match {box}")
     ints, den = poly._integers
     m, n = poly.bidegree
-    # p-interval ends -> (mp * ints, den * dp)
-    p_stages: dict = {}
+    cols, bi = list(zip(*ints)), _bits(ints)
+    # the widest x-axis map under each p-interval fixes the field width
+    # there (see _field_width), so each p-interval is packed once; this
+    # reaches every node the walk below can reach
+    widest: dict = {}
+    todo = [cert.root]
+    for node in todo:                   # grows as it goes
+        p_ends, x_ends = node.box._ends
+        widest[p_ends] = max(widest.get(p_ends, 0), _axis_map(n, *x_ends)[3])
+        if node.status == STATUS_SUBDIVIDED:
+            todo += node.children
+    # p-interval ends -> (packed stage, bias, field width, splitter, den * dp)
+    stages: dict = {}
+    splitters: dict = {}                # field width -> its _field_splitter
 
     def walk(node: CertificateNode) -> bool:
         # only a corner leaf records a margin, only a failed leaf a witness
@@ -652,13 +776,19 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
             raise CertificateError(f"{node.status} node on {node.box} "
                                    f"records a witness")
         p_ends, x_ends = node.box._ends
-        stage = p_stages.get(p_ends)
+        stage = stages.get(p_ends)
         if stage is None:
-            mp, dp = _axis_map(m, *p_ends)
-            stage = p_stages[p_ends] = (_p_stage(ints, mp), den * dp)
-        mx, dx = _axis_map(n, *x_ends)
-        flat = [sum(map(mul, r, c)) for r in stage[0] for c in mx]
-        lo, hi, d = min(flat), max(flat), stage[1] * dx
+            _, dp, _, bp = _axis_map(m, *p_ends)
+            width = _field_width(bp, bi, widest[p_ends], m, n)
+            packed, bias, _, _ = _packed_columns(m, p_ends, width)
+            split = splitters.get(width)
+            if split is None:
+                split = splitters[width] = _field_splitter(width >> 3, (m + 1) * (n + 1))
+            stage = stages[p_ends] = (_packed_stage(cols, packed), bias, width, split,
+                                      den * dp)
+        mx, dx, _, _ = _axis_map(n, *x_ends)
+        lo, hi = _packed_range(*stage[:4], mx)
+        d = stage[4] * dx
         rlo, rhi = node.min_bcoeff, node.max_bcoeff
         if (lo * rlo.denominator != rlo.numerator * d
                 or hi * rhi.denominator != rhi.numerator * d):

@@ -21,6 +21,7 @@ from starcert.bernstein import (MAX_BOUND_DEPTH, MAX_DEPTH,
                                 check_certificate, corner_estimate,
                                 corner_split, enclosure, subdivide, to_bernstein)
 from starcert.poly import MAX_DEGREE, BiPoly, format_poly_text, parse_poly_text
+from starcert.rationals import parse_rational
 
 F = Fraction
 
@@ -439,6 +440,27 @@ def test_corner_split_requires_vanishing_linear_part():
     assert corner_split(f, Box(0, 1, 0, 1), (F(0), F(0))) is None
 
 
+def test_corner_split_builds_each_shift_once(monkeypatch, reduction):
+    # the shifts are memoised by (degree, corner, side): a second call on
+    # the same corner, as for every corner leaf of a re-check, builds none
+    memo = bernstein._AxisMaps()
+    monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
+    calls = []
+    real = bernstein._pencil
+    monkeypatch.setattr(bernstein, "_pencil", lambda *a: calls.append(a) or real(*a))
+    gap, box = reduction.gap, Box(0, F(1, 8), 0, F(1, 8))
+    first = corner_split(gap, box, (F(0), F(0)))
+    assert len(calls) == 2 and (6, 0, 1, 1) in memo._maps and (4, 0, 1, 1) in memo._maps
+    second = corner_split(gap, Box(0, F(1, 16), 0, F(1, 16)), (F(0), F(0)))
+    again = corner_split(gap, box, (F(0), F(0)))
+    assert len(calls) == 2
+    assert corner_estimate(again) == corner_estimate(first) != corner_estimate(second)
+    assert again.tail == first.tail
+    # a high end of the same point is another side, so another shift
+    assert corner_split(gap, Box(F(-1, 8), 0, 0, F(1, 8)), (F(0), F(0))) is not None
+    assert len(calls) == 3 and (6, 0, 1, -1) in memo._maps
+
+
 def test_corner_estimate_margin():
     # lambda = min(5 - 1, 4 - 1) = 3; tail = 80 * (1/8) = 10 on [0,1/8]^2
     split = corner_split(CORNER_DEMO, Box(0, F(1, 8), 0, F(1, 8)), (0, 0))
@@ -700,8 +722,8 @@ def test_check_maps_each_p_interval_once(monkeypatch, box):
     assert cert.root.depth() >= 4          # subdivided three times or more
     nodes = list(_node_docs(cert.to_json_doc()))
     calls = []
-    real = bernstein._p_stage
-    monkeypatch.setattr(bernstein, "_p_stage",
+    real = bernstein._packed_stage
+    monkeypatch.setattr(bernstein, "_packed_stage",
                         lambda *args: calls.append(1) or real(*args))
     assert check_certificate(VALLEY_POLY, cert, box)
     assert len(calls) == len({tuple(n["box"][:2]) for n in nodes}) < len(nodes)
@@ -867,6 +889,75 @@ def test_check_certificate_with_maps_larger_than_the_memo(monkeypatch):
         check_certificate(f, PositivityCertificate.from_json_doc(doc), UNIT_BOX)
 
 
+def _packed_enclosure(ints, mp, mx):
+    """check_certificate's packed (min, max) of mp * ints * mx^T."""
+    m, n = len(mp) - 1, len(mx) - 1
+    width = bernstein._field_width(bernstein._bits(mp), bernstein._bits(ints),
+                                   bernstein._bits(mx), m, n)
+    packed, bias = bernstein._pack_columns(mp, width)
+    stage = bernstein._packed_stage(list(zip(*ints)), packed)
+    split = bernstein._field_splitter(width >> 3, (m + 1) * (n + 1))
+    return bernstein._packed_range(stage, bias, width, split, mx)
+
+
+def _plain_enclosure(ints, mp, mx):
+    flat = [c for row in bernstein._x_stage(bernstein._p_stage(ints, mp), mx) for c in row]
+    return min(flat), max(flat)
+
+
+def _signed_matrices(rows, cols):
+    """Matrices of a drawn bit length b: entries of either sign up to
+    2^b - 1 in magnitude, often exactly that, so that the products reach
+    the corners of the width bound."""
+    def of_bits(bits):
+        top = (1 << bits) - 1
+        entry = st.integers(-top, top) | st.sampled_from([-top, top])
+        return st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows)
+    return st.integers(0, 70).flatmap(of_bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(
+    lambda mn: st.tuples(_signed_matrices(mn[0] + 1, mn[1] + 1),
+                         _signed_matrices(mn[0] + 1, mn[0] + 1),
+                         _signed_matrices(mn[1] + 1, mn[1] + 1))))
+def test_packed_range_matches_plain_products(mats):
+    ints, mp, mx = mats
+    assert _packed_enclosure(ints, mp, mx) == _plain_enclosure(ints, mp, mx)
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (2, 2), (6, 4), (6, 6), (7, 3), (14, 14)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_range_at_the_width_bound(m, n, sign):
+    # every entry at its largest magnitude, so each result is (m + 1)(n + 1)
+    # times the largest product; the ints' bit length makes the bound
+    # before its sign bit a whole number of bytes, where W has no slack
+    # from rounding up, and at (6, 6) and (14, 14) the results need that bit
+    dims = (m + 1).bit_length() + (n + 1).bit_length()
+    top = (1 << 8 + (-dims - 6) % 8) - 1
+    assert (3 + top.bit_length() + 3 + dims) % 8 == 0
+    mp = [[7] * (m + 1) for _ in range(m + 1)]
+    ints = [[sign * top] * (n + 1) for _ in range(m + 1)]
+    mx = [[7] * (n + 1) for _ in range(n + 1)]
+    lo, hi = _packed_enclosure(ints, mp, mx)
+    assert (lo, hi) == _plain_enclosure(ints, mp, mx)
+    assert lo == hi == sign * (m + 1) * (n + 1) * 49 * top
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, boxes)
+def test_packed_range_matches_conversion(f, box):
+    # the axis maps of boxes with negative ends have entries of both signs
+    m, n = f.bidegree
+    ints, _ = f._integers
+    mp = bernstein._axis_map(m, *box._ends[0])[0]
+    mx = bernstein._axis_map(n, *box._ends[1])[0]
+    patch = to_bernstein(f, box)
+    assert _packed_enclosure(ints, mp, mx) == (min(map(min, patch.ints)),
+                                               max(map(max, patch.ints)))
+
+
 # ---------------------------------------------------------------------------
 # certificate JSON intake: parse or ValueError, never another exception
 # ---------------------------------------------------------------------------
@@ -925,6 +1016,44 @@ def test_from_json_mutated_parses_or_raises_value_error(data):
         PositivityCertificate.from_json(json.dumps(doc))
     except ValueError:
         pass
+
+
+BOX_END = (rationals.map(str)
+           | st.builds(lambda a, b: f"{a}/{b}", st.integers(-9, 9), st.integers(-2, 9))
+           | st.sampled_from(["2/4", "-0", "0", "1", "-6/4", "+3/6", " 1/3 ", "1/0",
+                              "0.5", "", "1/-2", "1 /2"])
+           | st.integers(-2, 2) | st.none() | st.floats(-1, 1)
+           | st.lists(st.just("1"), max_size=1))
+NODE_STATUS = (st.sampled_from([STATUS_POSITIVE, "bogus"]) | st.none()
+               | st.lists(st.just(STATUS_POSITIVE), max_size=1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(BOX_END, min_size=4, max_size=4), NODE_STATUS)
+def test_node_reader_matches_the_box_constructor(ends, status):
+    # the reader keeps each end's reduced integers and builds the Box from
+    # them; it must agree with the constructor on the Fractions, end for
+    # end and error for error, on a node and again on a child that reads
+    # the same strings from the reader's store
+    doc = {"box": ends, "status": status, "min_bcoeff": "0", "max_bcoeff": "1/2",
+           "children": []}
+    try:
+        ref = Box(*map(parse_rational, ends))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            PositivityCertificate.from_json_doc(doc)
+        assert str(got.value) == str(exc)
+        return
+    if status != STATUS_POSITIVE:
+        with pytest.raises(ValueError, match=r"^unknown node status "):
+            PositivityCertificate.from_json_doc(doc)
+        return
+    root = PositivityCertificate.from_json_doc(
+        {**doc, "status": "subdivided", "children": [doc]}).root
+    for box in (root.box, root.children[0].box):
+        assert box == ref and hash(box) == hash(ref)
+        assert box.as_tuple() == ref.as_tuple() and box._ends == ref._ends
+        assert all(type(e) is Fraction for e in box.as_tuple())
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ MUTANTS = [
     Mutant("corner-linear-part", BERNSTEIN,
            "if (0, 0) in g or (1, 0) in g or (0, 1) in g:",
            "if (0, 0) in g:"),
+    # the checker's packed product: a field one bit short of the width
+    # bound, or fields read without their bias
+    Mutant("packed-width", BERNSTEIN,
+           "(n + 1).bit_length() + 1) // 8)", "(n + 1).bit_length()) // 8)"),
+    Mutant("packed-bias", BERNSTEIN,
+           "(sum(map(mul, stage, row)) + bias)", "(sum(map(mul, stage, row)))"),
     # Box refuses an empty axis, in its constructor
     Mutant("box-degenerate", BERNSTEIN,
            "if not (pln * phd < phn * pld and", "if not (pln * phd <= phn * pld and"),
