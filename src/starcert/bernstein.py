@@ -25,12 +25,13 @@ basis, which is what :func:`check_certificate` does.
 from __future__ import annotations
 
 import json
+import struct
 import threading
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from sys import getsizeof
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .poly import BiPoly
 from .rationals import as_fraction, format_rational, parse_rational
@@ -472,9 +473,10 @@ class PositivityCertificate(NamedTuple):
         return list(self.root.leaves())
 
     def node_count(self) -> int:
-        def count(node):
-            return 1 + sum(count(c) for c in node.children)
-        return count(self.root)
+        todo = [self.root]
+        for node in todo:               # grows as it goes
+            todo += node.children
+        return len(todo)
 
     # -- serialization -------------------------------------------------
 
@@ -596,26 +598,30 @@ def certify_positive(poly: BiPoly, box: Box = UNIT_BOX, max_depth: int = 3,
         raise ValueError("max_depth must be >= 0")
     if max_depth > MAX_DEPTH:
         raise ValueError(f"max_depth must be at most {MAX_DEPTH}")
-    root_patch = to_bernstein(poly, box)
+    return PositivityCertificate(
+        _build_node(poly, to_bernstein(poly, box), max_depth, corner_rule), corner_rule)
 
-    def build(patch: BernsteinPatch, depth: int) -> CertificateNode:
-        lo, hi = enclosure(patch)
-        if lo > 0:
-            return CertificateNode(patch.box, STATUS_POSITIVE, lo, hi)
-        if corner_rule is not None:
-            split = corner_split(poly, patch.box, corner_rule.point())
-            if split is not None:
-                ok, margin = corner_estimate(split)
-                if ok:
-                    return CertificateNode(patch.box, STATUS_CORNER, lo, hi,
-                                           margin=margin)
-        if depth < max_depth:
-            children = tuple(build(child, depth + 1) for child in subdivide(patch))
-            return CertificateNode(patch.box, STATUS_SUBDIVIDED, lo, hi, children)
-        return CertificateNode(patch.box, STATUS_FAILED, lo, hi,
-                               witness=_lattice_witness(poly, patch.box))
 
-    return PositivityCertificate(build(root_patch, 0), corner_rule)
+def _build_node(poly: BiPoly, patch: BernsteinPatch, depth_left: int,
+                corner_rule: Optional[CornerRule]) -> CertificateNode:
+    """The :func:`certify_positive` node of ``patch``, with ``depth_left``
+    levels of subdivision still allowed below it."""
+    lo, hi = enclosure(patch)
+    if lo > 0:
+        return CertificateNode(patch.box, STATUS_POSITIVE, lo, hi)
+    if corner_rule is not None:
+        split = corner_split(poly, patch.box, corner_rule.point())
+        if split is not None:
+            ok, margin = corner_estimate(split)
+            if ok:
+                return CertificateNode(patch.box, STATUS_CORNER, lo, hi,
+                                       margin=margin)
+    if depth_left:
+        children = tuple(_build_node(poly, child, depth_left - 1, corner_rule)
+                         for child in subdivide(patch))
+        return CertificateNode(patch.box, STATUS_SUBDIVIDED, lo, hi, children)
+    return CertificateNode(patch.box, STATUS_FAILED, lo, hi,
+                           witness=_lattice_witness(poly, patch.box))
 
 
 def bound_above(poly: BiPoly, box: Box = UNIT_BOX, depth: int = 0) -> Fraction:
@@ -699,20 +705,15 @@ def _packed_stage(cols: Sequence[Sequence[int]], packed: Sequence[int]) -> list:
     return [sum(map(mul, col, packed)) for col in cols]
 
 
-def _field_splitter(size: int, count: int) -> itemgetter:
-    """A callable that cuts a byte string into its ``count`` fields of
-    ``size`` bytes, as a tuple; the first field is taken twice, so that
-    one field still comes as a tuple."""
-    return itemgetter(slice(0, size),
-                      *(slice(k, k + size) for k in range(0, size * count, size)))
-
-
-def _packed_range(stage: Sequence[int], bias: int, width: int, split: itemgetter,
+def _packed_range(stage: Sequence[int], bias: int, width: int,
+                  split: Callable[[bytes], tuple],
                   mx: Sequence[Sequence[int]]) -> tuple[int, int]:
     """(min, max) entry of mp * ints * mx^T, from one packed product per
     row of ``mx``: ``stage`` is the packed p stage of :func:`_packed_stage`,
-    ``bias`` that of :func:`_pack_columns`, and ``split`` the
-    :func:`_field_splitter` of all the products' fields of ``width`` bits."""
+    ``bias`` that of :func:`_pack_columns`, and ``split`` cuts the joined
+    products into their fields of ``width`` bits, as a tuple of byte
+    strings: the ``unpack`` of ``struct.Struct(f"{width // 8}s" * count)``
+    for (m + 1)(n + 1) fields."""
     # bytes per product: the top bit of the bias is the last of its m + 1 fields
     length = bias.bit_length() >> 3
     fields = split(b"".join([(sum(map(mul, stage, row)) + bias).to_bytes(length, "big")
@@ -734,14 +735,19 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     :func:`to_bernstein`, p axis first, with the m + 1 rows of the p axis
     packed into one integer (see :func:`_field_width`): nodes in one column
     of the tree share their p-interval, so each distinct p-interval is
-    packed and mapped once per call, and each node makes one packed
-    product per row of its own x-axis map.
+    packed and mapped once per call, each distinct x-interval is mapped
+    once per call, and each node makes one packed product per row of its
+    own x-axis map.  The products' fields are cut apart by one
+    ``struct.Struct`` per field width, built once per call.
 
     The walk runs on integers: each node's box carries its ends as reduced
     (numerator, denominator) pairs (``Box._ends``).  A subdivided node's
     children must have exactly the ends :func:`_quadrant_ends` gives, and a
     recomputed enclosure is compared with the recorded one by
-    cross-multiplication.
+    cross-multiplication.  Nodes are checked in pre-order, from an explicit
+    stack, so the first fault in that order is the one reported; the walk
+    holds no reference cycle, and everything it built is freed when the
+    call returns.
 
     Returns True iff the certificate is structurally sound **and** proves
     positivity (no failed leaves).  Structural lies - a root box other than
@@ -757,17 +763,23 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
     # there (see _field_width), so each p-interval is packed once; this
     # reaches every node the walk below can reach
     widest: dict = {}
+    x_maps: dict = {}                   # x-interval ends -> its _axis_map entry
     todo = [cert.root]
     for node in todo:                   # grows as it goes
         p_ends, x_ends = node.box._ends
-        widest[p_ends] = max(widest.get(p_ends, 0), _axis_map(n, *x_ends)[3])
+        mx = x_maps.get(x_ends)
+        if mx is None:
+            mx = x_maps[x_ends] = _axis_map(n, *x_ends)
+        widest[p_ends] = max(widest.get(p_ends, 0), mx[3])
         if node.status == STATUS_SUBDIVIDED:
             todo += node.children
-    # p-interval ends -> (packed stage, bias, field width, splitter, den * dp)
+    # p-interval ends -> (packed stage, bias, field width, split, den * dp)
     stages: dict = {}
-    splitters: dict = {}                # field width -> its _field_splitter
-
-    def walk(node: CertificateNode) -> bool:
+    splits: dict = {}                   # field width -> its struct unpack
+    proved = True
+    stack = [cert.root]
+    while stack:
+        node = stack.pop()
         # only a corner leaf records a margin, only a failed leaf a witness
         if node.margin is not None and node.status != STATUS_CORNER:
             raise CertificateError(f"{node.status} node on {node.box} "
@@ -781,12 +793,13 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
             _, dp, _, bp = _axis_map(m, *p_ends)
             width = _field_width(bp, bi, widest[p_ends], m, n)
             packed, bias, _, _ = _packed_columns(m, p_ends, width)
-            split = splitters.get(width)
+            split = splits.get(width)
             if split is None:
-                split = splitters[width] = _field_splitter(width >> 3, (m + 1) * (n + 1))
+                split = splits[width] = struct.Struct(
+                    f"{width >> 3}s" * ((m + 1) * (n + 1))).unpack
             stage = stages[p_ends] = (_packed_stage(cols, packed), bias, width, split,
                                       den * dp)
-        mx, dx, _, _ = _axis_map(n, *x_ends)
+        mx, dx, _, _ = x_maps[x_ends]
         lo, hi = _packed_range(*stage[:4], mx)
         d = stage[4] * dx
         rlo, rhi = node.min_bcoeff, node.max_bcoeff
@@ -803,8 +816,7 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                 raise CertificateError(
                     f"leaf on {node.box} claims positivity but min "
                     f"coefficient is {Fraction(lo, d)}")
-            return True
-        if node.status == STATUS_CORNER:
+        elif node.status == STATUS_CORNER:
             if node.children:
                 raise CertificateError("corner leaf must have no children")
             if cert.corner_rule is None:
@@ -821,13 +833,13 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                 raise CertificateError(
                     f"corner margin mismatch: recomputed {margin}, "
                     f"recorded {node.margin}")
-            return True
-        if node.status == STATUS_SUBDIVIDED:
+        elif node.status == STATUS_SUBDIVIDED:
             if [c.box._ends for c in node.children] != _quadrant_ends(node.box._ends):
                 raise CertificateError(
                     f"children of {node.box} are not its quadrants")
-            return all([walk(c) for c in node.children])
-        if node.status == STATUS_FAILED:
+            # reversed, so that child 0's subtree is checked first
+            stack += reversed(node.children)
+        elif node.status == STATUS_FAILED:
             if node.children:
                 raise CertificateError("failed leaf must have no children")
             if node.witness is None or len(node.witness) != 3:
@@ -842,7 +854,7 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                 raise CertificateError("failure witness value does not match")
             if lo > 0:
                 raise CertificateError("failed leaf has positive enclosure")
-            return False
-        raise CertificateError(f"unknown node status {node.status!r}")
-
-    return walk(cert.root)
+            proved = False
+        else:
+            raise CertificateError(f"unknown node status {node.status!r}")
+    return proved

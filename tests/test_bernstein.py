@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import struct
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -851,6 +852,70 @@ def test_every_checker_rejection_keeps_its_full_text(reduction, case, text):
         check_certificate(poly, cert, UNIT_BOX)
 
 
+def test_check_reports_the_first_fault_in_pre_order():
+    # a bad status deep in child 0's subtree, checked before child 3, a
+    # leaf one level below the root with a raised bound
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 3).to_json_doc()
+    doc["children"][0]["children"][0]["children"][1]["status"] = STATUS_CORNER
+    last = doc["children"][3]
+    last["max_bcoeff"] = str(F(last["max_bcoeff"]) + F(1, 7))
+    cert = PositivityCertificate.from_json_doc(doc)
+    with pytest.raises(CertificateError, match="^corner leaf without a corner rule$"):
+        check_certificate(POSITIVE_POLY, cert, UNIT_BOX)
+    # with child 0's subtree honest again, child 3's fault shows
+    doc["children"][0]["children"][0]["children"][1]["status"] = STATUS_POSITIVE
+    with pytest.raises(CertificateError,
+                       match=re.escape("enclosure mismatch on [1/2,1]x[1/2,1]")):
+        check_certificate(POSITIVE_POLY, PositivityCertificate.from_json_doc(doc),
+                          UNIT_BOX)
+
+
+@pytest.mark.parametrize("box, depth, failed_at", [
+    (UNIT_BOX, 3, None),
+    (UNIT_BOX, 1, 0),                 # the first leaf in pre-order fails
+    (Box(-1, 0, -1, 0), 1, 3),        # the last one does
+])
+def test_check_is_false_iff_a_leaf_failed(box, depth, failed_at):
+    cert = certify_positive(POSITIVE_POLY, box, depth)
+    statuses = [leaf.status for leaf in cert.leaves()]
+    assert [k for k, s in enumerate(statuses) if s == STATUS_FAILED] == (
+        [] if failed_at is None else [failed_at])
+    assert check_certificate(POSITIVE_POLY, cert, box) is (failed_at is None)
+
+
+def test_checks_and_builds_leave_no_cyclic_garbage(reduction):
+    # garbage in a reference cycle waits for the cyclic collector, and a
+    # cycle through a checked certificate would keep its whole tree alive
+    proving = certify_positive(reduction.gap, UNIT_BOX, 3, ORIGIN).to_json()
+    failed = certify_positive(POSITIVE_POLY, UNIT_BOX, 1).to_json()
+    doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 3).to_json_doc()
+    _raise_max_bcoeff(doc)
+    tampered = json.dumps(doc)
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_certificate(
+            reduction.gap, PositivityCertificate.from_json(proving, ORIGIN), UNIT_BOX)
+        assert gc.collect() == 0
+        assert not check_certificate(
+            POSITIVE_POLY, PositivityCertificate.from_json(failed), UNIT_BOX)
+        assert gc.collect() == 0
+        raised = False
+        try:
+            check_certificate(POSITIVE_POLY, PositivityCertificate.from_json(tampered),
+                              UNIT_BOX)
+        except CertificateError:
+            raised = True
+        assert raised
+        assert gc.collect() == 0
+        cert = certify_positive(reduction.gap, UNIT_BOX, 3, ORIGIN)
+        assert gc.collect() == 0
+        assert cert.node_count() == len(list(_node_docs(json.loads(proving))))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_corner_estimate_refuses_margin_zero():
     # lambda = 1 and the tail 1 * 1^(3-2) = 1 leave margin 0: no proof of > 0
     assert corner_estimate(CornerSplit(1, 0, 1, [(3, 0, 1)], 1)) == (False, 0)
@@ -896,7 +961,7 @@ def _packed_enclosure(ints, mp, mx):
                                    bernstein._bits(mx), m, n)
     packed, bias = bernstein._pack_columns(mp, width)
     stage = bernstein._packed_stage(list(zip(*ints)), packed)
-    split = bernstein._field_splitter(width >> 3, (m + 1) * (n + 1))
+    split = struct.Struct(f"{width >> 3}s" * ((m + 1) * (n + 1))).unpack
     return bernstein._packed_range(stage, bias, width, split, mx)
 
 

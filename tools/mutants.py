@@ -64,6 +64,13 @@ MUTANTS = [
            'raise CertificateError("failure witness outside its box")', "pass"),
     Mutant("failed-leaf-positive", BERNSTEIN,
            'raise CertificateError("failed leaf has positive enclosure")', "pass"),
+    # the walk: children pushed in their own order are checked last child
+    # first, so another fault than the first in pre-order is reported; a
+    # failed leaf that leaves the verdict True
+    Mutant("walk-order", BERNSTEIN,
+           "stack += reversed(node.children)", "stack += node.children"),
+    Mutant("failed-leaf-verdict", BERNSTEIN,
+           "proved = False", "pass"),
     Mutant("corner-cross-half", BERNSTEIN,
            "abs(split.quad_px) / 2", "abs(split.quad_px) / 4"),
     Mutant("corner-tail-power", BERNSTEIN,
