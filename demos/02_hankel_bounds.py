@@ -2,11 +2,13 @@
 
 |H2(2)| = |a2 a4 - a3^2| <= 1/4   and   |H3(1)| <= 1/9,
 
-both sharp (w = z^2 and w = z^3 respectively).  The second bound reduces
-to the positivity of a bivariate polynomial on the unit square, which is
-certified by the Bernstein branch-and-bound pipeline; the first reduces
-to a one-variable envelope handled with exact rational arithmetic.  Both
-pipelines re-check themselves against dense float oracles.
+both sharp (w = z^2 and w = z^3 respectively).  Both bounds come from one
+capped-slice step: a grouped majorant, affine in y^2 once its linear
+term is frozen, is at most the larger of its two endpoint polynomials.
+For H2 those are polynomials in p1 whose Bernstein coefficients stay
+below 1/4; for H3 one endpoint needs a Bernstein branch-and-bound
+certificate on the unit square.  Both pipelines re-check themselves
+against dense float oracles.
 """
 from fractions import Fraction
 

@@ -12,7 +12,8 @@ pipelines:
   together with the degree-six polynomial identity for ``9216 * H3(1)``;
 * the piecewise closed form for ``max_{|z|<=1} |A + Bz + Cz^2| + 1 - |z|^2``;
 * the Janowski disk criterion and numeric scans of the target function;
-* the envelope that bounds ``|H2(2)|`` along the Caratheodory slice.
+* the two endpoint polynomials that bound ``|H2(2)|`` along the
+  Caratheodory slice.
 
 Exact inputs (ints/Fractions) stay exact through every polynomial map;
 floats/complex are accepted and then everything is float.  Only the scan
@@ -408,14 +409,19 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
 # ---------------------------------------------------------------------------
 
 def _h2_slice(q) -> tuple:
-    """(A, B, C, |D|, g1) at p1 = q, exact; ``q`` is a Fraction, or
-    ``BiPoly.var_p()`` for the same formulas as polynomials in p1."""
+    """(A, B, C, |D|, g1, g0) at p1 = q, exact; ``q`` is a Fraction, or
+    ``BiPoly.var_p()`` for the same formulas as polynomials in p1.
+
+    g1 = -A + B - C and g0 = -A + B + |D| are the values at |gamma| = 1
+    and |gamma| = 0 of the capped slice bound, typed on their own so that
+    their identities with the groups are checked, not assumed."""
     s = 4 - q * q
     return (q ** 4 * Fraction(-19, 3072),
             q * q * s * Fraction(1, 384),
             (q ** 4 + 8 * q * q - 48) * Fraction(1, 192),
             q * s * Fraction(1, 24),
-            (768 - 96 * q * q - 5 * q ** 4) * Fraction(1, 3072))
+            (768 - 96 * q * q - 5 * q ** 4) * Fraction(1, 3072),
+            (512 * q + 32 * q * q - 128 * q ** 3 + 11 * q ** 4) * Fraction(1, 3072))
 
 
 def h2_terms(p1) -> tuple:

@@ -8,14 +8,15 @@ inequality groupwise majorizes |9216 H3(1)| by
                  + comp(p, x) (1 - y^2),
 
 where every group is nonnegative on the unit cube.  Freezing the linear
-factor y at its maximum 1 gives a function affine in y^2, so its maximum
-over y sits at an endpoint:
+factor y at its maximum 1 gives a function H1 affine in y^2, so its
+maximum over y sits at an endpoint:
 
     endpoint_y1 = H1(p, x, 1)   and   endpoint_y0 = H1(p, x, 0),
 
-two bivariate polynomials of bidegree (6, 4).  The certified chain then
-shows endpoint_y1 <= 1024 (via positivity of gap = 1024 - endpoint_y1)
-and endpoint_y0 <= 1024 (its max Bernstein coefficient is 910), hence
+two bivariate polynomials of bidegree (6, 4).  The capped-slice step of
+:mod:`starcert.verify`, which the |H2(2)| bound shares, then shows
+endpoint_y1 <= 1024 (via positivity of gap = 1024 - endpoint_y1) and
+endpoint_y0 <= 1024 (its max Bernstein coefficient is 910), hence
 |H3(1)| <= 1024/9216 = 1/9.
 
 The two endpoint polynomials are expanded here symbolically from the

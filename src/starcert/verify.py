@@ -22,8 +22,8 @@ from typing import NamedTuple
 from .bernstein import (UNIT_BOX, Box, CornerRule, PositivityCertificate,
                         bound_above, certify_positive, check_certificate,
                         enclosure, to_bernstein)
-from .gft import (_BLOCK_SAMPLES, _h2_slice, _within_budget, h2_envelope,
-                  h3_schwarz_poly, hankel2, schwarz_to_coeffs)
+from .gft import (_BLOCK_SAMPLES, _h2_slice, _within_budget, hankel2, hankel3,
+                  schwarz_to_coeffs)
 from .poly import BiPoly
 from .rationals import format_rational
 from .reduction import HANKEL3_SCALE, MAJORANT_TARGET, build_h3_reduction
@@ -85,6 +85,53 @@ def _report(claim: str, bound: Fraction, details: dict, exact: bool,
 
 
 # ---------------------------------------------------------------------------
+# the capped-slice step both Hankel bounds rest on
+# ---------------------------------------------------------------------------
+
+def _nonnegative(poly: BiPoly, box: Box) -> bool:
+    """poly >= 0 on the box: its Bernstein coefficients enclose its range."""
+    return enclosure(to_bernstein(poly, box))[0] >= 0
+
+
+def _capped_slice(groups: tuple, e1: BiPoly, e0: BiPoly, box: Box, target,
+                  details: dict) -> tuple:
+    """Bound base + ycoef y + y2coef y^2 + comp (1 - y^2) over the box and
+    0 <= y <= 1 (the grouped triangle inequality of Kowalczyk, Lecko & Sim
+    2018); returns (proven, bound, certificate or None), facts in details.
+
+    With ycoef >= 0, freezing the linear y at 1 raises the sum by
+    ycoef (1 - y) to H1 = y^2 e1 + (1 - y^2) e0, given the identities
+    e1 = base + ycoef + y2coef and e0 = base + ycoef + comp, and H1 is at
+    most max(e1, e0).  An endpoint is bounded by its largest Bernstein
+    coefficient on the box or, where that exceeds the target, by a
+    re-checked certificate of target - e: of the two pipelines, only
+    H3's endpoint_y1 needs one, and the report carries it.
+    """
+    base, ycoef, y2coef, comp = groups
+    ycoef_ok = _nonnegative(ycoef, box)
+    capped = e1 == base + ycoef + y2coef and e0 == base + ycoef + comp
+    details["ycoef_nonnegative"] = ycoef_ok
+    details["capped_between_endpoints"] = capped
+    proven, cert, tops = ycoef_ok and capped, None, []
+    for name, end in (("endpoint_y1", e1), ("endpoint_y0", e0)):
+        top = bound_above(end, box, 0)
+        details[f"{name}_bernstein_max"] = format_rational(top)
+        if top > target:
+            # both bounds are attained at their box's origin, where the corner
+            # estimate closes the tree; H3's corner box [0, 1/8]^2 is at depth 3
+            gap = target - end
+            cert = certify_positive(gap, box, 3, CornerRule(0, 0))
+            recheck = check_certificate(gap, cert, box)
+            details["certificate_leaves"] = len(cert.leaves())
+            details["certificate_succeeded"] = cert.succeeded
+            details["certificate_revalidated"] = recheck
+            proven = proven and cert.succeeded and recheck
+            top = target
+        tops.append(top)
+    return proven, max(tops), cert
+
+
+# ---------------------------------------------------------------------------
 # |H2(2)| <= 1/4
 # ---------------------------------------------------------------------------
 
@@ -96,18 +143,6 @@ def _polar_grid(n_radii: int, n_angles: int):
     return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
 
 
-def _nonnegative(poly: BiPoly) -> bool:
-    """f >= 0 for p1 in [0, 2]: its Bernstein coefficients enclose its range."""
-    return enclosure(to_bernstein(poly, Box(0, 2, 0, 1)))[0] >= 0
-
-
-def _positive_inside(poly: BiPoly) -> bool:
-    """f > 0 for p1 in (0, 2): Bernstein coefficients all >= 0 and one > 0,
-    as every Bernstein basis polynomial is positive inside."""
-    lo, hi = enclosure(to_bernstein(poly, Box(0, 2, 0, 1)))
-    return lo >= 0 < hi
-
-
 def _h2_samples(grid: int) -> int:
     """Samples of the verify_h2 oracle: p1 x gamma x eta grids."""
     return grid * (grid // 3 + 1) * grid * 3 * 16
@@ -117,20 +152,14 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     """Certify |H2(2)| <= 1/4 on the class and cross-check numerically.
 
     Certified chain, exact for all p1 in [0, 2] at once: the slice
-    coefficients of H2(2) = A + B gamma + C gamma^2 + D (1 - |gamma|^2) and
-    the envelope g1 are polynomials in p1 (:func:`starcert.gft.h2_terms`),
-    and each sign is read off their power coefficients or their Bernstein
-    coefficients over [0, 2]:
+    coefficients of H2(2) = A + B gamma + C gamma^2 + D (1 - |gamma|^2)
+    and the endpoints g1, g0 are polynomials in p1 (see
+    :func:`starcert.gft.h2_terms`), signed by their Bernstein coefficients:
 
-    * envelope identity |A| + |B| + |C| = g1(p1): -A, B, -C >= 0 and
-      -A + B - C = g1 as polynomials;
-    * the piecewise-max case conditions A1 C1 > 0, |C1| >= 1 and
-      |B1| >= 2 (1 - |C1|), for (A1, B1, C1) = (A, B, C)/|D|, that make the
-      slice maximum |D| (|A1| + |B1| + |C1|): -A, -C, |D| > 0 on (0, 2) and
-      -C - |D| >= 0 (then B >= 0 >= 2 (|D| + C) gives the third);
-    * g1 strictly decreasing, as no power coefficient past the constant is
-      positive and one is negative: the supremum sits at p1 = 0 with value
-      1/4; the endpoint slices give 1/4 and 19/192;
+    * -A, -C, |D| >= 0, so |H2(2)| <= -A + B y - C y^2 + |D| (1 - y^2)
+      with y = |gamma| and |eta| <= 1;
+    * the capped-slice step on (-A, B, -C, |D|) bounds that by
+      max(g1, g0) <= 1/4 (largest coefficients 1/4 and 3/16), no cases;
     * sharpness: the member driven by w(z) = z^2 has H2(2) = -1/4.
 
     Float oracle: a >= 10^5-point scan of |A + B gamma + C gamma^2 +
@@ -146,26 +175,18 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     import numpy as np
     details: dict = {}
 
-    # --- exact sign facts on the slice polynomials -----------------------
-    A, B, C, D, g1 = _h2_slice(BiPoly.var_p())
-    identity_ok = all(map(_nonnegative, (-A, B, -C))) and -A + B - C == g1
-    cases_ok = all(map(_positive_inside, (-A, -C, D))) and _nonnegative(-C - D)
-    details["envelope_identity_exact"] = identity_ok
-    details["case_conditions_hold"] = cases_ok
-
-    # --- monotone decrease and endpoints --------------------------------
-    slope = [c for i, _, c in g1.terms() if i > 0]
-    decreasing = bool(slope) and all(c < 0 for c in slope)
-    details["envelope_strictly_decreasing"] = decreasing
-    endpoints_ok = (h2_envelope(0) == Fraction(1, 4)
-                    and h2_envelope(2) == Fraction(19, 192))
-    details["endpoint_values"] = "1/4 and 19/192" if endpoints_ok else "WRONG"
+    # --- the groups are the moduli, then the capped-slice step -------------
+    box = Box(0, 2, 0, 1)
+    A, B, C, D, g1, g0 = _h2_slice(BiPoly.var_p())
+    signs_ok = all(_nonnegative(group, box) for group in (-A, -C, D))
+    details["envelope_identity_exact"] = signs_ok
+    step_ok, bound, _ = _capped_slice((-A, B, -C, D), g1, g0, box,
+                                      Fraction(1, 4), details)
 
     # --- sharpness -------------------------------------------------------
     witness = hankel2(schwarz_to_coeffs((0, 1, 0, 0)))
     details["sharpness_w_z2"] = format_rational(witness)
-    exact = (identity_ok and cases_ok and decreasing and endpoints_ok
-             and witness == Fraction(-1, 4))
+    exact = signs_ok and step_ok and witness == Fraction(-1, 4)
 
     # --- float oracle ----------------------------------------------------
     gam = _polar_grid(grid // 3 + 1, grid)
@@ -191,7 +212,7 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     return _report(
         "second Hankel determinant bound |H2(2)| <= 1/4 on the "
         "starlike class with target (1+z/2)^2, sharp at w(z) = z^2",
-        Fraction(1, 4), details, exact, floats)
+        bound, details, exact, floats)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +340,12 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     * :func:`starcert.reduction.build_h3_reduction` expands the grouped
       majorant H of the scaled determinant and survives its transcription
       guard;
-    * gap = 1024 - endpoint_y1 holds as a polynomial identity, and a
-      Bernstein branch-and-bound certificate (with the corner estimate at
-      the origin) proves gap >= 0 on [0,1]^2 and passes independent
-      re-validation;
-    * the max Bernstein coefficient of endpoint_y0 on [0,1]^2 (910) also
-      sits below the target 1024;
-    * H <= H1 <= max(endpoint_y1, endpoint_y0) on the whole cube:
-      H1 - H = ycoef (1 - y) and ycoef >= 0 (smallest Bernstein
-      coefficient 0), and the identities endpoint_y1 = base + ycoef +
-      y2coef, endpoint_y0 = base + ycoef + comp make H1 a convex
-      combination y^2 endpoint_y1 + (1 - y^2) endpoint_y0;
-    * sharpness: the Schwarz data (0, 0, 1, 0) (i.e. w(z) = z^3) attains
-      the scaled value -1024 exactly.
+    * the capped-slice step on its groups over [0,1]^2, target 1024:
+      endpoint_y0 <= 910 by its Bernstein coefficients, endpoint_y1 <= 1024
+      by a re-validated branch-and-bound certificate of 1024 - endpoint_y1;
+    * the reduction's published gap is that certified polynomial;
+    * sharpness: the Schwarz data (0, 0, 1, 0) (i.e. w(z) = z^3) give
+      9216 H3(1) = -1024 exactly.
 
     Float oracle: dense sampling of |9216 H3| through the disk
     parametrization stays below 1024 (1 + 1e-9), and on 300 random
@@ -348,32 +362,17 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     red = build_h3_reduction()
     details: dict = {}
 
-    # the certified polynomial is the gap the majorant leaves below 1024
+    # a saved certificate is re-checked against the published gap
     gap_ok = red.gap == MAJORANT_TARGET - red.endpoint_y1
     details["gap_is_target_minus_endpoint_y1"] = gap_ok
-
-    # the corner box [0, 1/8]^2 appears at depth 3, which closes the tree
-    cert = certify_positive(red.gap, UNIT_BOX, 3, CornerRule(0, 0))
-    details["certificate_leaves"] = len(cert.leaves())
-    details["certificate_succeeded"] = cert.succeeded
-    recheck = check_certificate(red.gap, cert, UNIT_BOX)
-    details["certificate_revalidated"] = recheck
-
-    y0_max = bound_above(red.endpoint_y0, UNIT_BOX, 0)
-    details["endpoint_y0_bernstein_max"] = format_rational(y0_max)
-
-    # --- exact steps H <= H1 <= max(endpoint_y1, endpoint_y0) ----------
-    ycoef_ok = enclosure(to_bernstein(red.ycoef, UNIT_BOX))[0] >= 0
-    endpoint_ok = (red.endpoint_y1 == red.base + red.ycoef + red.y2coef
-                   and red.endpoint_y0 == red.base + red.ycoef + red.comp)
-    details["ycoef_nonnegative"] = ycoef_ok
-    details["capped_between_endpoints"] = endpoint_ok
+    step_ok, bound, cert = _capped_slice(
+        (red.base, red.ycoef, red.y2coef, red.comp), red.endpoint_y1,
+        red.endpoint_y0, UNIT_BOX, MAJORANT_TARGET, details)
 
     # --- sharpness -----------------------------------------------------
-    sharp = h3_schwarz_poly((0, 0, 1, 0))
+    sharp = HANKEL3_SCALE * hankel3(schwarz_to_coeffs((0, 0, 1, 0)))
     details["sharpness_w_z3_scaled"] = format_rational(sharp)
-    exact = (gap_ok and cert.succeeded and recheck and y0_max <= MAJORANT_TARGET
-             and ycoef_ok and endpoint_ok and sharp == -MAJORANT_TARGET)
+    exact = gap_ok and step_ok and sharp == -MAJORANT_TARGET
 
     # --- float oracle ----------------------------------------------------
     # the value is affine in rho: per c1 and block of (gamma, eta) points,
@@ -412,8 +411,8 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     return _report(
         "third Hankel determinant bound |H3(1)| <= 1/9 on the "
         "starlike class with target (1+z/2)^2, sharp at w(z) = z^3",
-        Fraction(max(MAJORANT_TARGET, y0_max), HANKEL3_SCALE), details, exact,
-        floats, certificate=cert)
+        Fraction(bound, HANKEL3_SCALE), details, exact, floats,
+        certificate=cert)
 
 
 # ---------------------------------------------------------------------------

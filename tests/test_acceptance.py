@@ -205,7 +205,7 @@ def test_c08_h2_chain():
     assert report.verified and report.bound == F(1, 4)
     d = report.details
     assert d["envelope_identity_exact"]
-    assert d["case_conditions_hold"]
+    assert d["ycoef_nonnegative"] and d["capped_between_endpoints"]
     assert d["oracle_samples"] >= 10 ** 5
     assert d["oracle_max"] <= 0.25 + 1e-9
     # independent repetition of the exact pieces

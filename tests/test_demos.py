@@ -21,7 +21,8 @@ EXPECTED = [
       "bound:  1/4 = 0.25": 1,
       "bound:  1/9 = 0.111111111111": 1,
       "  envelope_identity_exact: True": 1,
-      "  ycoef_nonnegative: True": 1,
+      "  ycoef_nonnegative: True": 2,
+      "  capped_between_endpoints: True": 2,
       "certificate: 13 nodes, 10 leaves": 1}),
     ("03_bernstein_certificates.py",
      {"certificate succeeded: True (13 nodes, 10 leaves)": 1,

@@ -13,6 +13,7 @@ from starcert.gft import (JanowskiParams, h2_envelope, h2_terms,
                           h3_schwarz_poly, hankel2, hankel3, janowski_check,
                           lz_parametrize, ma_minda_scan, schwarz_parametrize,
                           schwarz_to_coeffs, y_max, y_max_detail)
+from starcert.poly import BiPoly
 from test_acceptance import _y_oracle_refined
 
 F = Fraction
@@ -405,6 +406,16 @@ def test_h2_envelope_matches_terms():
         p1 = F(rng.randint(1, 199), 100)
         A, B, C, D = h2_terms(p1)
         assert abs(A) + abs(B) + abs(C) == h2_envelope(p1)
+
+
+def test_h2_capped_slice_dominates_the_grouped_bound():
+    """With x for y = |gamma| and M = -A + B x - C x^2 + |D| (1 - x^2),
+    x^2 g1 + (1 - x^2) g0 - M = B (1 - x) as polynomials in (p1, x): the
+    capped slice bound is at least M wherever B >= 0 and x <= 1."""
+    A, B, C, D, g1, g0 = gft._h2_slice(BiPoly.var_p())
+    x = BiPoly.var_x()
+    M = -A + B * x - C * x * x + D * (1 - x * x)
+    assert x * x * g1 + (1 - x * x) * g0 - M == B * (1 - x)
 
 
 def test_h2_envelope_boundaries_and_slope():

@@ -10,8 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starcert import bernstein, gft, verify
-from starcert.poly import BiPoly
+from starcert import bernstein, gft, reduction as reduction_module, verify
 from starcert.cli import main
 from starcert.verify import (DEFAULT_SEED, VerificationReport, a4_family,
                              max_a4, verify_h2, verify_h3)
@@ -35,7 +34,11 @@ def test_verify_h2(h2_report):
     d = h2_report.details
     assert d["oracle_samples"] >= 10 ** 5
     assert d["oracle_max"] <= 0.25 + 1e-9
-    assert d["envelope_identity_exact"] and d["case_conditions_hold"]
+    assert d["envelope_identity_exact"] and d["ycoef_nonnegative"]
+    assert d["capped_between_endpoints"]
+    assert d["endpoint_y1_bernstein_max"] == "1/4"
+    assert d["endpoint_y0_bernstein_max"] == "3/16"
+    assert "certificate_succeeded" not in d
     assert d["sharpness_w_z2"] == "-1/4"
 
 
@@ -67,6 +70,7 @@ def test_verify_h3(h3_report):
     assert d["oracle_max_scaled"] <= 1024 * (1 + 1e-9)
     assert d["sharpness_w_z3_scaled"] == "-1024"
     assert d["ycoef_nonnegative"] and d["capped_between_endpoints"]
+    assert d["endpoint_y1_bernstein_max"] == "3208/3"
 
 
 def test_verify_h3_certificate_attached(h3_report):
@@ -299,7 +303,7 @@ def test_gap_must_be_target_minus_endpoint_y1(monkeypatch, reduction, capsys):
 
 
 def test_h3_sharpness_is_an_exact_step(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "h3_schwarz_poly", lambda w: F(-1023))
+    monkeypatch.setattr(verify, "hankel3", lambda a: F(-1023, 9216))
     report = verify_h3(grid=4)
     assert report.details["sharpness_w_z3_scaled"] == "-1023"
     assert report.details["failure"] == "certification"
@@ -314,7 +318,7 @@ def test_h3_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys):
     exact = verify._h3_param
     monkeypatch.setattr(verify, "_h3_param",
                         lambda *args: exact(*args) * (1 + 1e-6))
-    monkeypatch.setattr(verify, "h3_schwarz_poly", lambda w: F(-1023))
+    monkeypatch.setattr(verify, "hankel3", lambda a: F(-1023, 9216))
     report = verify_h3(grid=4)
     d = report.details
     assert d["oracle_max_scaled"] > 1024 * (1 + 1e-9)
@@ -329,8 +333,16 @@ def _certify_at_depth_2(poly, box, max_depth, rule):
     return bernstein.certify_positive(poly, box, 2, rule)
 
 
+def _endpoint_y0_raised():
+    # comp + 1024 with endpoint_y0 moved to match keeps both identities;
+    # its largest coefficient 1934 sends it to a certificate of
+    # 1024 - endpoint_y0, which fails wherever the old endpoint_y0 > 0
+    red = reduction_module.build_h3_reduction()
+    return red._replace(comp=red.comp + 1024, endpoint_y0=red.endpoint_y0 + 1024)
+
+
 @pytest.mark.parametrize("patches, key, value", [
-    ({"bound_above": lambda *args: F(1025)}, "endpoint_y0_bernstein_max", "1025"),
+    ({"build_h3_reduction": _endpoint_y0_raised}, "endpoint_y0_bernstein_max", "1934"),
     ({"certify_positive": _certify_at_depth_2, "check_certificate": lambda *args: True},
      "certificate_succeeded", False),
     ({"check_certificate": lambda *args: False}, "certificate_revalidated", False),
@@ -344,20 +356,6 @@ def test_each_h3_exact_step_decides_alone(monkeypatch, capsys, patches, key, val
     assert report.details[key] == value
     assert report.status == "failed" and report.details["failure"] == "certification"
     assert main(["certify-h3", "--grid", "4"]) == 2
-    assert "failure: certification" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("name, stub, key, value", [
-    ("h2_envelope", lambda p1: gft.h2_envelope(p1) + F(1, 1000),
-     "endpoint_values", "WRONG"),
-    ("hankel2", lambda a: F(-1, 5), "sharpness_w_z2", "-1/5"),
-])
-def test_each_h2_exact_step_decides_alone(monkeypatch, capsys, name, stub, key, value):
-    monkeypatch.setattr(verify, name, stub)
-    report = verify_h2()
-    assert report.details[key] == value
-    assert report.status == "failed" and report.details["failure"] == "certification"
-    assert main(["verify-h2"]) == 2
     assert "failure: certification" in capsys.readouterr().out
 
 
@@ -392,19 +390,51 @@ def _slice_with(change):
     return lambda q: change(*real(q))
 
 
-@pytest.mark.parametrize("change, identity, cases", [
-    # C's sign flips: -C >= 0 and -A + B - C = g1 both fail
-    (lambda A, B, C, D, g1: (A, B, -C, D, g1), False, False),
-    # g1 off by a constant: the identity fails, the signs still hold
-    (lambda A, B, C, D, g1: (A, B, C, D, g1 + F(1, 1000)), False, True),
-    # D vanishes: the normalization by |D| and |C1| >= 1 fail
-    (lambda A, B, C, D, g1: (A, B, C, D * 0, g1), True, False),
+@pytest.mark.parametrize("name, stub, key, value", [
+    ("hankel2", lambda a: F(-1, 5), "sharpness_w_z2", "-1/5"),
+    # B - k, with -C and |D| raised by k so both endpoints still match
+    ("_h2_slice", _slice_with(lambda A, B, C, D, g1, g0, k=F(1, 1000):
+                              (A, B - k, C - k, D + k, g1, g0)),
+     "ycoef_nonnegative", False),
+    ("_h2_slice", _slice_with(lambda A, B, C, D, g1, g0:
+                              (A, B, C, D, g1, g0 + F(1, 1000))),
+     "capped_between_endpoints", False),
+    # |D| + 1/8 and g0 moved to match: g0's largest coefficient 5/16 needs a
+    # certificate of 1/4 - g0, and g0 now exceeds 1/4 near p1 = 1.3
+    ("_h2_slice", _slice_with(lambda A, B, C, D, g1, g0:
+                              (A, B, C, D + F(1, 8), g1, g0 + F(1, 8))),
+     "endpoint_y0_bernstein_max", "5/16"),
 ])
-def test_broken_slice_fails_verify_h2(monkeypatch, capsys, change, identity, cases):
+def test_each_h2_exact_step_decides_alone(monkeypatch, capsys, name, stub, key, value):
+    monkeypatch.setattr(verify, name, stub)
+    report = verify_h2()
+    d = report.details
+    assert d[key] == value
+    for fact in ("envelope_identity_exact", "ycoef_nonnegative",
+                 "capped_between_endpoints"):
+        assert d[fact] is (fact != key), fact
+    # only g0 above the target takes a certificate, and it fails
+    assert d.get("certificate_succeeded", False) is False
+    assert report.status == "failed" and d["failure"] == "certification"
+    assert main(["verify-h2"]) == 2
+    assert "failure: certification" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change, identity, capped", [
+    # C's sign flips: -C >= 0 and g1 = -A + B - C both fail
+    (lambda A, B, C, D, g1, g0: (A, B, -C, D, g1, g0), False, False),
+    # D's sign flips, g0 moved to match: only the group sign fails
+    (lambda A, B, C, D, g1, g0: (A, B, C, -D, g1, g0 - 2 * D), False, True),
+    # g1 lowered by a constant: only its identity fails, as g1 <= 1/4 still
+    (lambda A, B, C, D, g1, g0: (A, B, C, D, g1 - F(1, 1000), g0), True, False),
+])
+def test_broken_slice_fails_verify_h2(monkeypatch, capsys, change, identity, capped):
     monkeypatch.setattr(verify, "_h2_slice", _slice_with(change))
     report = verify_h2()
     d = report.details
-    assert (d["envelope_identity_exact"], d["case_conditions_hold"]) == (identity, cases)
+    assert d["envelope_identity_exact"] is identity
+    assert d["capped_between_endpoints"] is capped
+    assert d["ycoef_nonnegative"] and "certificate_succeeded" not in d
     assert report.status == "failed" and d["failure"] == "certification"
     assert main(["verify-h2"]) == 2
     assert "status: failed" in capsys.readouterr().out
@@ -420,7 +450,7 @@ def test_h2_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys,
     monkeypatch.setattr(verify, "_polar_grid", lambda *args: grid(*args) * 1.5)
     if flip_c:
         monkeypatch.setattr(verify, "_h2_slice", _slice_with(
-            lambda A, B, C, D, g1: (A, B, -C, D, g1)))
+            lambda A, B, C, D, g1, g0: (A, B, -C, D, g1, g0)))
     report = verify_h2()
     d = report.details
     assert d["oracle_max"] > 0.7
@@ -428,16 +458,6 @@ def test_h2_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys,
     assert report.status == "failed" and d["failure"] == failure
     assert main(["verify-h2"]) == code
     assert f"failure: {failure}" in capsys.readouterr().out
-
-
-def test_h2_envelope_must_decrease(monkeypatch):
-    # g1 + p1^3/1000 - with -A + B - C moved to match - has a positive slope term
-    bump = BiPoly.var_p() ** 3 * F(1, 1000)
-    monkeypatch.setattr(verify, "_h2_slice", _slice_with(
-        lambda A, B, C, D, g1: (A, B + bump, C, D, g1 + bump)))
-    d = verify_h2().details
-    assert d["envelope_identity_exact"] and d["case_conditions_hold"]
-    assert d["envelope_strictly_decreasing"] is False and d["failure"] == "certification"
 
 
 # ---------------------------------------------------------------------------

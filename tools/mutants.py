@@ -99,36 +99,44 @@ MUTANTS = [
            "sa, sb = d // da, d // db", "sa, sb = d // db, d // da"),
     Mutant("canonical-gcd", POLY,
            "g = den if den == 1 else gcd(den, *chain.from_iterable(rows))", "g = 1"),
+    # the capped-slice step both Hankel pipelines call: ycoef >= 0 or one
+    # endpoint identity dropped; an endpoint whose largest coefficient
+    # equals the target (H2's g1, exactly 1/4) sent to a certificate that
+    # fails; an endpoint above the target accepted with its certificate
+    # ignored, unchecked or failed
+    Mutant("step-ycoef", VERIFY,
+           "proven, cert, tops = ycoef_ok and capped, None, []",
+           "proven, cert, tops = capped, None, []"),
+    Mutant("step-e1-identity", VERIFY,
+           "capped = e1 == base + ycoef + y2coef and e0", "capped = e0"),
+    Mutant("step-e0-identity", VERIFY,
+           " and e0 == base + ycoef + comp", ""),
+    Mutant("step-strict-target", VERIFY,
+           "if top > target:", "if top >= target:"),
+    Mutant("step-uncertified", VERIFY,
+           "proven = proven and cert.succeeded and recheck", "pass"),
+    Mutant("step-succeeded", VERIFY,
+           "and cert.succeeded and recheck", "and recheck"),
+    Mutant("step-recheck", VERIFY,
+           "cert.succeeded and recheck\n", "cert.succeeded\n"),
     # verify_h3's exact conjunction, one step dropped at a time
     Mutant("h3-gap", VERIFY,
-           "exact = (gap_ok and cert.succeeded", "exact = (cert.succeeded"),
-    Mutant("h3-succeeded", VERIFY,
-           "cert.succeeded and recheck", "recheck"),
-    Mutant("h3-recheck", VERIFY,
-           "recheck and y0_max", "y0_max"),
-    Mutant("h3-endpoint-y0", VERIFY,
-           "recheck and y0_max <= MAJORANT_TARGET\n", "recheck\n"),
-    Mutant("h3-ycoef", VERIFY,
-           "and ycoef_ok and endpoint_ok", "and endpoint_ok"),
-    Mutant("h3-endpoints", VERIFY,
-           "and ycoef_ok and endpoint_ok", "and ycoef_ok"),
+           "exact = gap_ok and step_ok", "exact = step_ok"),
+    Mutant("h3-step", VERIFY,
+           "gap_ok and step_ok and sharp", "gap_ok and sharp"),
     Mutant("h3-sharpness", VERIFY,
-           "and endpoint_ok and sharp == -MAJORANT_TARGET)", "and endpoint_ok)"),
+           " and sharp == -MAJORANT_TARGET", ""),
     # the PCG64 output that the domination draws reproduce: rotated left
     Mutant("pcg64-rotation", VERIFY,
            "x = (x >> rot | x << (64 - rot)) & _MASK64",
            "x = (x << rot | x >> (64 - rot)) & _MASK64"),
-    # verify_h2's exact conjunction
-    Mutant("h2-identity", VERIFY,
-           "exact = (identity_ok and cases_ok", "exact = (cases_ok"),
-    Mutant("h2-cases", VERIFY,
-           "identity_ok and cases_ok and decreasing", "identity_ok and decreasing"),
-    Mutant("h2-decreasing", VERIFY,
-           "cases_ok and decreasing and endpoints_ok", "cases_ok and endpoints_ok"),
-    Mutant("h2-endpoints", VERIFY,
-           "decreasing and endpoints_ok", "decreasing"),
+    # verify_h2's exact conjunction: the group signs, the step, sharpness
+    Mutant("h2-signs", VERIFY,
+           "exact = signs_ok and step_ok", "exact = step_ok"),
+    Mutant("h2-step", VERIFY,
+           "signs_ok and step_ok and witness", "signs_ok and witness"),
     Mutant("h2-sharpness", VERIFY,
-           "\n             and witness == Fraction(-1, 4))", ")"),
+           " and witness == Fraction(-1, 4)", ""),
     # the Y(A, B, C) lemma
     Mutant("y-max-r-edge", GFT,
            'return aA + aB - aC, "R.edge"', 'return aA + aB + aC, "R.edge"'),
