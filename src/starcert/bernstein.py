@@ -18,9 +18,9 @@ rectangle lies between the smallest and largest Bernstein coefficient of
 every denominator once and applies integer matrices per axis, and midpoint
 de Casteljau subdivision is integer add and shift, the denominator gaining
 a power of two.  Fractions appear only at the edge: :func:`enclosure`, the
-``bcoeffs`` view, certificate node fields and JSON.  Certificates can be
-re-validated independently by re-converting each node from the power
-basis, which is what :func:`check_certificate` does.
+``bcoeffs`` view, the ``Box`` end views, certificate node fields and JSON.
+Certificates can be re-validated independently by re-converting each node
+from the power basis, which is what :func:`check_certificate` does.
 """
 from __future__ import annotations
 
@@ -69,34 +69,40 @@ MAX_BOUND_DEPTH = 12
 class Box:
     """Axis-aligned rectangle [p_lo, p_hi] x [x_lo, x_hi], exact endpoints.
 
-    Boxes compare and hash by their ends, which nothing assigns after the
-    constructor."""
+    A box stores only its reduced integer ends per axis, ``_ends =
+    ((lo num, den, hi num, den) on p, the same on x)``, which nothing
+    assigns after the constructor; boxes compare and hash by them.  The
+    ends as Fractions are read-only views."""
 
-    __slots__ = ("p_lo", "p_hi", "x_lo", "x_hi", "_ends")
+    __slots__ = ("_ends",)
 
     def __init__(self, p_lo, p_hi, x_lo, x_hi):
-        ends = [end if type(end) is Fraction else as_fraction(end)
-                for end in (p_lo, p_hi, x_lo, x_hi)]
-        pl, ph, xl, xh = [end.as_integer_ratio() for end in ends]
-        self._set(ends, (pl + ph, xl + xh))
+        pl, ph, xl, xh = [as_fraction(end).as_integer_ratio()
+                          for end in (p_lo, p_hi, x_lo, x_hi)]
+        self._set((pl + ph, xl + xh))
 
     @classmethod
-    def _from_reduced(cls, ends: Sequence[Fraction], axes: tuple) -> "Box":
-        """The box on the Fraction ``ends`` whose reduced integer ends per
-        axis are ``axes``, as in ``Box._ends``; no end is converted again."""
+    def _from_reduced(cls, axes: tuple) -> "Box":
+        """The box whose reduced integer ends are ``axes``, as in ``Box._ends``."""
         box = cls.__new__(cls)
-        box._set(ends, axes)
+        box._set(axes)
         return box
 
-    def _set(self, ends: Sequence[Fraction], axes: tuple) -> None:
-        """The one constructor path: the ends, their reduced integers per
-        axis, (lo num, den, hi num, den), and the degeneracy check."""
-        self.p_lo, self.p_hi, self.x_lo, self.x_hi = ends
+    def _set(self, axes: tuple) -> None:
+        """The one constructor path: the ends, then the degeneracy check,
+        whose message reads them."""
+        self._ends = axes
         # denominators are positive, so lo < hi compares cross-products
         (pln, pld, phn, phd), (xln, xld, xhn, xhd) = axes
         if not (pln * phd < phn * pld and xln * xhd < xhn * xld):
             raise ValueError(f"degenerate box {self}")
-        self._ends = axes
+
+    p_lo = property(lambda self: Fraction(*self._ends[0][:2]))
+    p_hi = property(lambda self: Fraction(*self._ends[0][2:]))
+    x_lo = property(lambda self: Fraction(*self._ends[1][:2]))
+    x_hi = property(lambda self: Fraction(*self._ends[1][2:]))
+    p_width = property(lambda self: self.p_hi - self.p_lo)
+    x_width = property(lambda self: self.x_hi - self.x_lo)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.p_lo, self.p_hi, self.x_lo, self.x_hi)
@@ -117,24 +123,9 @@ class Box:
     def __str__(self) -> str:
         return (f"[{self.p_lo},{self.p_hi}]x[{self.x_lo},{self.x_hi}]")
 
-    @property
-    def p_width(self) -> Fraction:
-        return self.p_hi - self.p_lo
-
-    @property
-    def x_width(self) -> Fraction:
-        return self.x_hi - self.x_lo
-
     def quadrants(self) -> tuple["Box", "Box", "Box", "Box"]:
-        """Midpoint quadrisection in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi).
-        The midpoints, the high ends of the first quadrant, are the only
-        new ends."""
-        quads = _quadrant_ends(self._ends)
-        (_, _, pn, pd), (_, _, xn, xd) = quads[0]
-        pm, xm = Fraction(pn, pd), Fraction(xn, xd)
-        ends = [(*pe, *xe) for pe in ((self.p_lo, pm), (pm, self.p_hi))
-                for xe in ((self.x_lo, xm), (xm, self.x_hi))]
-        return tuple(map(Box._from_reduced, ends, quads))
+        """Midpoint quadrisection in the order (lo,lo), (lo,hi), (hi,lo), (hi,hi)."""
+        return tuple(map(Box._from_reduced, _quadrant_ends(self._ends)))
 
 
 def _quadrant_ends(ends: tuple) -> list:
@@ -379,12 +370,13 @@ def corner_split(poly: BiPoly, box: Box,
     the quadratic lower bound cannot hold and the rule is inapplicable).
     """
     cp, cx = as_fraction(corner[0]), as_fraction(corner[1])
-    if cp not in (box.p_lo, box.p_hi) or cx not in (box.x_lo, box.x_hi):
+    p_lo, p_hi, x_lo, x_hi = box.as_tuple()
+    if cp not in (p_lo, p_hi) or cx not in (x_lo, x_hi):
         return None
     m, n = poly.bidegree
     rows, den = poly._integers
-    mp, sp, _, _ = _corner_shift(m, *cp.as_integer_ratio(), 1 if cp == box.p_lo else -1)
-    mx, sx, _, _ = _corner_shift(n, *cx.as_integer_ratio(), 1 if cx == box.x_lo else -1)
+    mp, sp, _, _ = _corner_shift(m, *cp.as_integer_ratio(), 1 if cp == p_lo else -1)
+    mx, sx, _, _ = _corner_shift(n, *cx.as_integer_ratio(), 1 if cx == x_lo else -1)
     # the nonzero terms of the recentered polynomial, in row order
     scale = den * sp * sx
     g = {(i, j): Fraction(c, scale) for i, row in enumerate(_x_stage(_p_stage(rows, mp), mx))
@@ -394,7 +386,7 @@ def corner_split(poly: BiPoly, box: Box,
     tail = [(i, j, c) for (i, j), c in g.items() if i + j >= 3]
     return CornerSplit(
         quad_pp=g.get((2, 0), 0), quad_px=g.get((1, 1), 0), quad_xx=g.get((0, 2), 0),
-        tail=tail, half_width=max(box.p_width, box.x_width))
+        tail=tail, half_width=max(p_hi - p_lo, x_hi - x_lo))
 
 
 def _corner_shift(m: int, cn: int, cd: int, side: int) -> tuple:
@@ -490,22 +482,9 @@ class PositivityCertificate(NamedTuple):
     def from_json_doc(cls, doc: dict,
                       corner_rule: Optional[CornerRule] = None) -> "PositivityCertificate":
         # rationals repeat across nodes, box ends above all: read each
-        # distinct string once, as a Fraction and its reduced integer pair;
-        # anything else goes to parse_rational, which raises ValueError
-        # unless it is a str subclass
-        parsed: dict = {}
-
-        def parse(text) -> tuple[Fraction, tuple[int, int]]:
-            if type(text) is not str:
-                value = parse_rational(text)
-                return value, value.as_integer_ratio()
-            pair = parsed.get(text)
-            if pair is None:
-                value = parse_rational(text)
-                pair = parsed[text] = (value, value.as_integer_ratio())
-            return pair
-
-        return cls(_node_from_dict(doc, parse), corner_rule)
+        # distinct string once, a box end straight to its reduced pair
+        end = _memo_reader(lambda text: parse_rational(text).as_integer_ratio())
+        return cls(_node_from_dict(doc, end, _memo_reader(parse_rational)), corner_rule)
 
     @classmethod
     def from_json(cls, text: str,
@@ -518,7 +497,9 @@ class PositivityCertificate(NamedTuple):
 
 def _node_to_dict(node: CertificateNode) -> dict:
     doc = {
-        "box": [format_rational(v) for v in node.box.as_tuple()],
+        # as format_rational writes a reduced Fraction: "n" or "n/d"
+        "box": [f"{n}/{d}" if d != 1 else str(n)
+                for axis in node.box._ends for n, d in (axis[:2], axis[2:])],
         "status": node.status,
         "min_bcoeff": format_rational(node.min_bcoeff),
         "max_bcoeff": format_rational(node.max_bcoeff),
@@ -531,6 +512,22 @@ def _node_to_dict(node: CertificateNode) -> dict:
     return doc
 
 
+def _memo_reader(read: Callable) -> Callable:
+    """``read``, run once per distinct str and its result kept.  Anything
+    else goes to ``read`` every time, where parse_rational raises ValueError
+    unless it is a str subclass."""
+    store: dict = {}
+
+    def memo(text):
+        if type(text) is not str:
+            return read(text)
+        value = store.get(text)
+        if value is None:
+            value = store[text] = read(text)
+        return value
+    return memo
+
+
 def _rational_list(doc: dict, key: str, count: int, parse) -> tuple:
     values = doc[key]
     if not isinstance(values, list) or len(values) != count:
@@ -539,15 +536,16 @@ def _rational_list(doc: dict, key: str, count: int, parse) -> tuple:
     return tuple(map(parse, values))
 
 
-def _node_from_dict(doc: dict, parse) -> CertificateNode:
-    """One node of a certificate document, its rationals read by ``parse``
-    as (Fraction, reduced integer pair); ValueError on any malformed part."""
+def _node_from_dict(doc: dict, end, parse) -> CertificateNode:
+    """One node of a certificate document, its box ends read by ``end`` as
+    reduced integer pairs and its other rationals by ``parse`` as
+    Fractions; ValueError on any malformed part."""
     if not isinstance(doc, dict):
         raise ValueError(f"certificate node must be an object, "
                          f"got {type(doc).__name__}")
     try:
-        (pl, a), (ph, b), (xl, c), (xh, d) = _rational_list(doc, "box", 4, parse)
-        box = Box._from_reduced((pl, ph, xl, xh), (a + b, c + d))
+        pl, ph, xl, xh = _rational_list(doc, "box", 4, end)
+        box = Box._from_reduced((pl + ph, xl + xh))
         status = doc["status"]
         if status not in (STATUS_POSITIVE, STATUS_SUBDIVIDED, STATUS_CORNER, STATUS_FAILED):
             raise ValueError(f"unknown node status {status!r}")
@@ -556,11 +554,10 @@ def _node_from_dict(doc: dict, parse) -> CertificateNode:
             raise ValueError("certificate node 'children' must be a list")
         # positional: box, status, min_bcoeff, max_bcoeff, children, margin, witness
         node = CertificateNode(
-            box, status, parse(doc["min_bcoeff"])[0], parse(doc["max_bcoeff"])[0],
-            tuple([_node_from_dict(c, parse) for c in children]),
-            parse(doc["margin"])[0] if "margin" in doc else None,
-            tuple(value for value, _ in _rational_list(doc, "witness", 3, parse))
-            if "witness" in doc else None)
+            box, status, parse(doc["min_bcoeff"]), parse(doc["max_bcoeff"]),
+            tuple([_node_from_dict(c, end, parse) for c in children]),
+            parse(doc["margin"]) if "margin" in doc else None,
+            _rational_list(doc, "witness", 3, parse) if "witness" in doc else None)
     except KeyError as exc:
         raise ValueError(f"certificate node missing field {exc}") from exc
     return node
@@ -568,11 +565,13 @@ def _node_from_dict(doc: dict, parse) -> CertificateNode:
 
 def _lattice_witness(poly: BiPoly, box: Box) -> tuple:
     """Minimizing point of poly over a (GRID+1)^2 rational lattice on box."""
+    p_lo, x_lo = box.p_lo, box.x_lo
+    p_step, x_step = box.p_width / _WITNESS_GRID, box.x_width / _WITNESS_GRID
     best = None
     for i in range(_WITNESS_GRID + 1):
-        p = box.p_lo + box.p_width * Fraction(i, _WITNESS_GRID)
+        p = p_lo + p_step * i
         for j in range(_WITNESS_GRID + 1):
-            x = box.x_lo + box.x_width * Fraction(j, _WITNESS_GRID)
+            x = x_lo + x_step * j
             v = poly.evaluate(p, x)
             if best is None or v < best[2]:
                 best = (p, x, v)

@@ -15,14 +15,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from starcert import bernstein
 from starcert.bernstein import (MAX_BOUND_DEPTH, MAX_DEPTH,
-                                UNIT_BOX, Box, CertificateError, CornerRule,
-                                CornerSplit, PositivityCertificate,
+                                UNIT_BOX, Box, CertificateError, CertificateNode,
+                                CornerRule, CornerSplit, PositivityCertificate,
                                 STATUS_CORNER, STATUS_FAILED, STATUS_POSITIVE,
+                                STATUS_SUBDIVIDED,
                                 bound_above, certify_positive,
                                 check_certificate, corner_estimate,
                                 corner_split, enclosure, subdivide, to_bernstein)
 from starcert.poly import MAX_DEGREE, BiPoly, format_poly_text, parse_poly_text
-from starcert.rationals import parse_rational
+from starcert.rationals import format_rational, parse_rational
 
 F = Fraction
 
@@ -211,6 +212,40 @@ def test_box_is_degenerate_iff_an_axis_is_empty(ends):
     else:
         with pytest.raises(ValueError, match=r"^degenerate box \["):
             Box(*ends)
+
+
+# exact box ends: Fractions, ints, and strings unreduced or negative
+EXACT_END = (rationals | rationals.map(str) | st.integers(-3, 3)
+             | st.builds(lambda a, b: f"{a}/{b}", st.integers(-20, 20), st.integers(1, 9)))
+AXIS_ENDS = st.lists(EXACT_END, min_size=2, max_size=2, unique_by=F).map(
+    lambda ends: sorted(ends, key=F))
+
+
+@given(AXIS_ENDS, AXIS_ENDS)
+def test_box_views_match_a_fraction_reference(p_ends, x_ends):
+    # a Box stores only its reduced integer ends; every Fraction it gives
+    # out is a view of them, and must be what the Fraction route gives
+    ends = (*p_ends, *x_ends)
+    box, ref = Box(*ends), tuple(map(F, ends))
+    assert (box.p_lo, box.p_hi, box.x_lo, box.x_hi) == box.as_tuple() == ref
+    assert all(type(e) is Fraction for e in box.as_tuple())
+    assert (box.p_width, box.x_width) == (ref[1] - ref[0], ref[3] - ref[2])
+    again = Box(*box.as_tuple())
+    assert again == box and hash(again) == hash(box)
+    pl, ph, xl, xh = ref
+    assert repr(box) == f"Box(p_lo={pl!r}, p_hi={ph!r}, x_lo={xl!r}, x_hi={xh!r})"
+    assert str(box) == f"[{pl},{ph}]x[{xl},{xh}]"
+    # the quadrants split at the Fraction midpoints
+    pm, xm = (pl + ph) / 2, (xl + xh) / 2
+    assert [q.as_tuple() for q in box.quadrants()] == [
+        (*pe, *xe) for pe in ((pl, pm), (pm, ph)) for xe in ((xl, xm), (xm, xh))]
+    # JSON writes each end as format_rational does, and reads the box back
+    leaves = tuple(CertificateNode(q, STATUS_POSITIVE, F(1), F(1)) for q in box.quadrants())
+    cert = PositivityCertificate(CertificateNode(box, STATUS_SUBDIVIDED, F(1), F(1), leaves))
+    text = cert.to_json()
+    assert json.loads(text)["box"] == [format_rational(e) for e in ref]
+    back = PositivityCertificate.from_json(text).root
+    assert [n.box for n in (back, *back.children)] == [box, *box.quadrants()]
 
 
 def _skewed_poly(high, low, high_on_p):
@@ -797,11 +832,32 @@ def _corner_claimed_a_level_up(gap):
     return _read(gap, doc, ORIGIN)
 
 
-def _witness_from_another_box(gap):
-    # (1, 1) with its true value, outside the failed leaf [0,1/2]^2
+def _witness_at(p, x):
+    # the failed leaf [0,1/2]^2 with the witness (p, x) and its true value
     doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 1).to_json_doc()
-    doc["children"][0]["witness"] = ["1", "1", str(POSITIVE_POLY.evaluate(1, 1))]
+    doc["children"][0]["witness"] = [str(p), str(x), str(POSITIVE_POLY.evaluate(p, x))]
     return _read(POSITIVE_POLY, doc)
+
+
+def _witness_from_another_box(gap):
+    return _witness_at(1, 1)            # outside on both axes
+
+
+# outside on one side of one axis, inside on the other axis
+def _witness_below_p_lo(gap):
+    return _witness_at(F(-1, 4), F(1, 4))
+
+
+def _witness_above_p_hi(gap):
+    return _witness_at(F(3, 4), F(1, 4))
+
+
+def _witness_below_x_lo(gap):
+    return _witness_at(F(1, 4), F(-1, 4))
+
+
+def _witness_above_x_hi(gap):
+    return _witness_at(F(1, 4), F(3, 4))
 
 
 def _witness_value_off(gap):
@@ -839,6 +895,10 @@ def _positivity_claimed_at_min_zero(gap):
     (_corner_under_another_rule, "corner rule does not apply on [0,1/8]x[0,1/8]"),
     (_corner_claimed_a_level_up, "corner estimate fails on [0,1/4]x[0,1/4]"),
     (_witness_from_another_box, "failure witness outside its box"),
+    (_witness_below_p_lo, "failure witness outside its box"),
+    (_witness_above_p_hi, "failure witness outside its box"),
+    (_witness_below_x_lo, "failure witness outside its box"),
+    (_witness_above_x_hi, "failure witness outside its box"),
     (_witness_value_off, "failure witness value does not match"),
     (_failure_claimed_on_a_positive_leaf, "failed leaf has positive enclosure"),
     (_unknown_status, "unknown node status 'bogus'"),
@@ -1096,10 +1156,10 @@ NODE_STATUS = (st.sampled_from([STATUS_POSITIVE, "bogus"]) | st.none()
 @settings(max_examples=400, deadline=None)
 @given(st.lists(BOX_END, min_size=4, max_size=4), NODE_STATUS)
 def test_node_reader_matches_the_box_constructor(ends, status):
-    # the reader keeps each end's reduced integers and builds the Box from
-    # them; it must agree with the constructor on the Fractions, end for
-    # end and error for error, on a node and again on a child that reads
-    # the same strings from the reader's store
+    # the reader builds each Box from its ends' reduced integers; it must
+    # agree with the constructor, box for box and error for error, on a
+    # node and again on a child that reads the same strings from the
+    # reader's store
     doc = {"box": ends, "status": status, "min_bcoeff": "0", "max_bcoeff": "1/2",
            "children": []}
     try:
@@ -1117,8 +1177,6 @@ def test_node_reader_matches_the_box_constructor(ends, status):
         {**doc, "status": "subdivided", "children": [doc]}).root
     for box in (root.box, root.children[0].box):
         assert box == ref and hash(box) == hash(ref)
-        assert box.as_tuple() == ref.as_tuple() and box._ends == ref._ends
-        assert all(type(e) is Fraction for e in box.as_tuple())
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,10 @@ MUTANTS = [
            "return margin > 0, margin", "return margin >= 0, margin"),
     Mutant("witness-outside-box", BERNSTEIN,
            'raise CertificateError("failure witness outside its box")', "pass"),
+    # one side of the witness-in-box test dropped: only a witness above
+    # p_hi and inside on x (_witness_above_p_hi) tells
+    Mutant("witness-box-side", BERNSTEIN,
+           "node.box.p_lo <= wp <= node.box.p_hi", "node.box.p_lo <= wp"),
     Mutant("failed-leaf-positive", BERNSTEIN,
            'raise CertificateError("failed leaf has positive enclosure")', "pass"),
     # the walk: children pushed in their own order are checked last child
@@ -87,6 +91,14 @@ MUTANTS = [
     # Box refuses an empty axis, in its constructor
     Mutant("box-degenerate", BERNSTEIN,
            "if not (pln * phd < phn * pld and", "if not (pln * phd <= phn * pld and"),
+    # a Fraction view of a Box reading the other axis's ends, which the
+    # witness-in-box test and corner_split read; on a square box neither
+    # can tell.  test_corner_bcoeffs_interpolate kills it first, and
+    # test_box_views_match_a_fraction_reference compares every view with
+    # the ends it was given
+    Mutant("box-view-axis", BERNSTEIN,
+           "x_hi = property(lambda self: Fraction(*self._ends[1][2:]))",
+           "x_hi = property(lambda self: Fraction(*self._ends[0][2:]))"),
     # the midpoint rule the builder and the checker share: a split at 2/3
     # still gives valid boxes, so only the checker's direct conversion of
     # each node can tell
