@@ -7,7 +7,8 @@ Exit codes
     failed, disk test negative)
 3   an oracle violation (a float scan contradicted a certified bound, and
     every exact step held)
-64  usage errors (bad flags, unreadable input files, unwritable output paths)
+64  usage errors (bad flags, unreadable input files, unwritable output paths
+    or a closed stdout)
 """
 from __future__ import annotations
 
@@ -365,9 +366,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         with _one_blas_thread():
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"starcert {args.command}: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except BrokenPipeError as exc:
+        # the output still buffered is flushed again at exit: send it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"starcert {args.command}: cannot write stdout: {exc.strerror or exc}",
+              file=sys.stderr)
         return USAGE_EXIT
 
 

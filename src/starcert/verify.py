@@ -31,8 +31,6 @@ from .reduction import HANKEL3_SCALE, MAJORANT_TARGET, build_h3_reduction
 __all__ = ["VerificationReport", "verify_h2", "verify_h3",
            "A4Search", "max_a4", "a4_family"]
 
-DEFAULT_SEED = 20240605
-
 
 class VerificationReport:
     """Outcome of one pipeline: a claim, its exact bound, and evidence.
@@ -241,92 +239,6 @@ def _h3_param(c1, gam, eta, rho):
     return val
 
 
-def _h3_param_abs(c1, gam, eta, rho):
-    """|h3 polynomial| through the Schwarz parametrization."""
-    import numpy as np
-    return np.abs(_h3_param(c1, gam, eta, rho))
-
-
-# numpy.random.default_rng(seed) is a PCG64 generator (O'Neill 2014: a
-# 128-bit LCG with the XSL-RR output) seeded by a SeedSequence; both are
-# reproduced below in integers, so the domination draws need not load
-# numpy.random, which costs more than drawing them here
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_sequence_words(seed: int) -> list:
-    """The four 64-bit words of numpy's
-    ``SeedSequence(seed).generate_state(4, np.uint64)``: the seed's 32-bit
-    words, least significant first, hashed into a pool of four and mixed."""
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    entropy = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        entropy.append(seed & _MASK32)
-    mult = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal mult
-        value ^= mult
-        mult = mult * 0x931E8875 & _MASK32
-        value = value * mult & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return out ^ out >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    mult, halves = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ mult
-        mult = mult * 0x58F38DED & _MASK32
-        value = value * mult & _MASK32
-        halves.append(value ^ value >> 16)
-    return [halves[k] | halves[k + 1] << 32 for k in range(0, 8, 2)]
-
-
-def _pcg64_doubles(seed: int, count: int) -> list:
-    """The first ``count`` values of ``np.random.default_rng(seed).random()``,
-    bit for bit: each PCG64 output's top 53 bits over 2^53."""
-    s_hi, s_lo, i_hi, i_lo = _seed_sequence_words(seed)
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULTIPLIER + inc) & _MASK128
-    out = []
-    for _ in range(count):
-        state = (state * _PCG_MULTIPLIER + inc) & _MASK128
-        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        out.append((x >> 11) * 2.0 ** -53)
-    return out
-
-
-def _domination_samples(seed: int):
-    """300 random (c1, gamma, eta, rho) in [0, 1] x disk^3, as arrays.
-
-    The 300 x 7 uniforms of ``np.random.default_rng(seed).uniform(0,
-    (1, 1, 2 pi, 1, 2 pi, 1, 2 pi), (300, 7))``, bit for bit; per round, in
-    stream order: c1, then modulus and argument of gamma, eta and rho.
-    """
-    import numpy as np
-    turn = 2 * math.pi
-    u = (np.array(_pcg64_doubles(seed, 300 * 7)).reshape(300, 7)
-         * (1.0, 1.0, turn, 1.0, turn, 1.0, turn))
-    return (u[:, 0], u[:, 1] * np.exp(1j * u[:, 2]),
-            u[:, 3] * np.exp(1j * u[:, 4]), u[:, 5] * np.exp(1j * u[:, 6]))
-
-
 def _h3_samples(grid: int) -> int:
     """Samples of the verify_h3 grid oracle: c1 x gamma x eta x rho grids."""
     return (grid + 1) * (grid // 2 + 1) * 2 * grid * 3 * grid * 2 * 8
@@ -348,9 +260,9 @@ def verify_h3(grid: int = 12) -> VerificationReport:
       9216 H3(1) = -1024 exactly.
 
     Float oracle: dense sampling of |9216 H3| through the disk
-    parametrization stays below 1024 (1 + 1e-9), and on 300 random
-    samples (seeded with DEFAULT_SEED) the majorant H dominates the
-    sampled value.
+    parametrization stays below 1024 (1 + 1e-9), and at every sampled
+    (c1, gamma, eta) the majorant H(c1, |gamma|, |eta|) + 1e-9 dominates
+    |P| + |Q|, the largest |P + Q rho| over the closed rho disk.
 
     A failed exact step reports ``failure: certification``; only a float
     check reports ``failure: oracle``.
@@ -378,6 +290,7 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     # the value is affine in rho: per c1 and block of (gamma, eta) points,
     # P at rho = 0 and Q = (value at rho = 1) - P give |P + Q rho| at
     # every rho sample, in blocks of at most _BLOCK_SAMPLES either way
+    c1s = np.linspace(0.0, 1.0, grid + 1)
     gam = _polar_grid(grid // 2 + 1, 2 * grid)
     eta = _polar_grid(3, grid)
     rho = _polar_grid(2, 8)
@@ -385,25 +298,32 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     rc = rho[None, None, :]
     span = max(1, _BLOCK_SAMPLES // eta.size)
     rows = max(1, _BLOCK_SAMPLES // (eta.size * rho.size))
+    # H on the rings, (c1, |gamma|, |eta|): _polar_grid lists its points
+    # ring by ring, so point k of gam is on ring k // (2 grid), of eta on
+    # ring k // grid
+    maj = red.majorant(c1s[:, None, None],
+                       np.linspace(0.0, 1.0, grid // 2 + 1)[:, None],
+                       np.linspace(0.0, 1.0, 3))
+    eta_ring = np.arange(eta.size) // grid
     observed = 0.0
     samples = 0
-    for c1 in np.linspace(0.0, 1.0, grid + 1):
+    dominated = True
+    for c1, maj_c1 in zip(c1s, maj):
         for start in range(0, gam.size, span):
             gc = gam[start:start + span, None]
-            p = _h3_param(c1, gc, ec, 0.0)[:, :, None]
-            q = _h3_param(c1, gc, ec, 1.0)[:, :, None] - p
+            p = _h3_param(c1, gc, ec, 0.0)
+            q = _h3_param(c1, gc, ec, 1.0) - p
+            gam_ring = np.arange(start, start + len(gc))[:, None] // (2 * grid)
+            # over the closed rho disk |P + Q rho| peaks at |P| + |Q|
+            dominated &= bool(np.all(np.abs(p) + np.abs(q)
+                                     <= maj_c1[gam_ring, eta_ring] + 1e-9))
+            p, q = p[:, :, None], q[:, :, None]
             for row in range(0, len(p), rows):
                 vals = np.abs(p[row:row + rows] + q[row:row + rows] * rc)
                 observed = max(observed, float(vals.max()))
                 samples += vals.size
     details["oracle_samples"] = samples
     details["oracle_max_scaled"] = observed
-
-    # majorant domination on random samples
-    c1, g, e, r = _domination_samples(DEFAULT_SEED)
-    val = _h3_param_abs(c1, g, e, r)
-    maj = red.majorant(c1, np.abs(g), np.abs(e))
-    dominated = not bool(np.any(val > maj + 1e-9))
     details["majorant_dominates_samples"] = dominated
     floats = (samples >= 10 ** 4 and observed <= MAJORANT_TARGET * (1 + 1e-9)
               and dominated)

@@ -153,6 +153,32 @@ def test_numpy_subcommands_start_no_idle_blas_workers(user_value):
         assert int(count) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--schwarz", "z"], ["radius"], ["janowski", "--A", "1/2", "--B", "-1/4"],
+    ["bernstein", "--poly", "POLY", "--certify"]], ids=lambda argv: argv[0])
+def test_a_closed_stdout_is_a_usage_error(tmp_path, argv):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE; that ends in one line and exit 64, not
+    # in a traceback and exit 1
+    poly = tmp_path / "f.poly"
+    poly.write_text(POLY_TEXT)
+    argv = [str(poly) if arg == "POLY" else arg for arg in argv]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from starcert.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 64
+    assert proc.stderr == f"starcert {argv[0]}: cannot write stdout: Broken pipe\n"
+
+
 def test_main_leaves_the_environment_as_it_found_it(capsys, monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     before = dict(os.environ)

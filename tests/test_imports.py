@@ -74,8 +74,9 @@ def test_exact_subcommands_do_not_load_numpy(tmp_path):
     # no starcert class is a dataclass, so nothing loads dataclasses (and
     # with it inspect, ast, dis and tokenize)
     assert [step[2] for step in steps[2:6]] == [False] * 4
-    # certify-h3 draws its domination samples without numpy.random, so it
-    # is loaded only if numpy loads it itself, as numpy before 2.0 does
+    # certify-h3 checks its majorant on its oracle's grid, with no random
+    # draws, so numpy.random is loaded only if numpy loads it itself, as
+    # numpy before 2.0 does
     numpy_loads_random = _fresh("import sys, numpy; print('numpy.random' in sys.modules)")
     assert steps[-1][3] is (numpy_loads_random == "True")
 

@@ -138,10 +138,15 @@ MUTANTS = [
            "gap_ok and step_ok and sharp", "gap_ok and sharp"),
     Mutant("h3-sharpness", VERIFY,
            " and sharp == -MAJORANT_TARGET", ""),
-    # the PCG64 output that the domination draws reproduce: rotated left
-    Mutant("pcg64-rotation", VERIFY,
-           "x = (x >> rot | x << (64 - rot)) & _MASK64",
-           "x = (x << rot | x >> (64 - rot)) & _MASK64"),
+    # verify_h3's majorant domination on the grid: |P| alone in place of
+    # the peak |P| + |Q| over the rho disk, a tolerance of 1e-3, and each
+    # eta point matched with H on the wrong ring
+    Mutant("domination-rho-disk", VERIFY,
+           "np.abs(p) + np.abs(q)", "np.abs(p)"),
+    Mutant("domination-tolerance", VERIFY,
+           "maj_c1[gam_ring, eta_ring] + 1e-9", "maj_c1[gam_ring, eta_ring] + 1e-3"),
+    Mutant("domination-eta-ring", VERIFY,
+           "np.arange(eta.size) // grid", "np.arange(eta.size) // (2 * grid)"),
     # verify_h2's exact conjunction: the group signs, the step, sharpness
     Mutant("h2-signs", VERIFY,
            "exact = signs_ok and step_ok", "exact = step_ok"),
