@@ -11,13 +11,13 @@ pipelines:
 * the Hankel determinants ``H2(2) = a2 a4 - a3^2`` and ``H3(1)``,
   together with the degree-six polynomial identity for ``9216 * H3(1)``;
 * the piecewise closed form for ``max_{|z|<=1} |A + Bz + Cz^2| + 1 - |z|^2``;
-* the Janowski disk criterion and numeric scans of the target function;
+* the Janowski disk criterion and the scan of the target function, whose
+  float kernels are in :mod:`starcert.oracles`;
 * the two endpoint polynomials that bound ``|H2(2)|`` along the
   Caratheodory slice.
 
 Exact inputs (ints/Fractions) stay exact through every polynomial map;
-floats/complex are accepted and then everything is float.  Only the scan
-helper imports numpy, when it runs.
+floats/complex are accepted and then everything is float.
 """
 from __future__ import annotations
 
@@ -36,11 +36,6 @@ __all__ = [
     "h2_terms", "h2_envelope",
 ]
 
-
-# Float oracles and scans evaluate their grids in blocks of about this many
-# samples, so each complex temporary stays near 256 KB and in cache; the
-# formulas are elementwise, so blocking changes no value.
-_BLOCK_SAMPLES = 1 << 14
 
 # The most samples one float oracle or scan may take: each counts its
 # samples before numpy loads and refuses more.  Blocks keep memory flat,
@@ -318,12 +313,6 @@ class PhiScanReport(NamedTuple):
     passed: bool
 
 
-def _boundary_distance(t):
-    """|phi(e^it) - 5/4|^2 at the angles of the numpy array ``t``."""
-    import numpy as np
-    return np.abs((1 + np.exp(1j * t) / 2) ** 2 - 1.25) ** 2
-
-
 def _phi_scan_samples(grid_density: int, boundary_points: int) -> int:
     """Samples :func:`ma_minda_scan` takes: the polar grid, then the circle."""
     return grid_density * 4 * grid_density + boundary_points
@@ -349,37 +338,9 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
     npts = grid_density * grid_density
     npts += npts % 2  # keep t = pi on the grid
     _within_budget(_phi_scan_samples(grid_density, npts))
-
-    import numpy as np
-    radii = np.linspace(0.0, _PHI_SCAN_RADIUS, grid_density)
-    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4 * grid_density,
-                                     endpoint=False))
-    rows = max(1, _BLOCK_SAMPLES // circle.size)
-    mod_min, mod_max, min_real, max_ratio = math.inf, -math.inf, math.inf, -math.inf
-    for start in range(0, radii.size, rows):
-        z = radii[start:start + rows, None] * circle[None, :]
-        phi = (1 + z / 2) ** 2
-        mod = np.abs(phi)
-        mod_min, mod_max = min(mod_min, float(mod.min())), max(mod_max, float(mod.max()))
-        min_real = min(min_real, float(phi.real.min()))
-        max_ratio = max(max_ratio, float(np.abs(z / (8 + 3 * z)).max()))
-
-    # t_k = k * step, as np.linspace(0, 2 pi, npts, endpoint=False) has it;
-    # the strict < keeps the first minimum, the index np.argmin picks.
-    # t = 0 and t = pi are the samples k = 0 and k = npts / 2.
-    step = 2 * math.pi / npts
-    bnd_min, t_min = math.inf, 0.0
-    for start in range(0, npts, _BLOCK_SAMPLES):
-        t = np.arange(start, min(npts, start + _BLOCK_SAMPLES), dtype=float) * step
-        bnd = _boundary_distance(t)
-        k = int(np.argmin(bnd))
-        if float(bnd[k]) < bnd_min:
-            bnd_min, t_min = float(bnd[k]), float(t[k])
-        if start == 0:
-            at0 = float(bnd[0])
-        if 0 <= npts // 2 - start < bnd.size:
-            atpi = float(bnd[npts // 2 - start])
-
+    from . import oracles
+    (mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0,
+     atpi) = oracles._phi_scan(grid_density, _PHI_SCAN_RADIUS, npts)
     checks = {
         "modulus_above_quarter": mod_min > 0.25,
         "modulus_below_nine_quarters": mod_max < 2.25,

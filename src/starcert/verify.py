@@ -2,10 +2,11 @@
 
 Each pipeline pairs a *certified chain* (exact rational identities,
 Bernstein certificates) with an *independent float oracle* (dense numeric
-sampling of the quantity the chain is supposed to bound).  The oracle
-never reuses the certified code path: the Hankel oracles sample the disk
-parametrizations directly with numpy, so a bug would have to appear in
-two unrelated routes to go unnoticed.
+sampling of the quantity the chain is supposed to bound).  The oracles live
+in :mod:`starcert.oracles`, which imports numpy and no starcert code, so a
+bug would have to appear in two unrelated routes to go unnoticed.  Each
+pipeline counts its samples against the budget before it imports them, and
+judges what they measured; this module imports no numpy.
 
 Pipelines
 ---------
@@ -22,8 +23,7 @@ from typing import NamedTuple
 from .bernstein import (UNIT_BOX, Box, CornerRule, PositivityCertificate,
                         bound_above, certify_positive, check_certificate,
                         enclosure, to_bernstein)
-from .gft import (_BLOCK_SAMPLES, _h2_slice, _within_budget, hankel2, hankel3,
-                  schwarz_to_coeffs)
+from .gft import _h2_slice, _within_budget, hankel2, hankel3, schwarz_to_coeffs
 from .poly import BiPoly
 from .rationals import format_rational
 from .reduction import HANKEL3_SCALE, MAJORANT_TARGET, build_h3_reduction
@@ -133,14 +133,6 @@ def _capped_slice(groups: tuple, e1: BiPoly, e0: BiPoly, box: Box, target,
 # |H2(2)| <= 1/4
 # ---------------------------------------------------------------------------
 
-def _polar_grid(n_radii: int, n_angles: int):
-    """Flattened complex grid of the closed unit disk, r = 1 included."""
-    import numpy as np
-    r = np.linspace(0.0, 1.0, n_radii)
-    t = np.linspace(0.0, 2 * math.pi, n_angles, endpoint=False)
-    return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
-
-
 def _h2_samples(grid: int) -> int:
     """Samples of the verify_h2 oracle: p1 x gamma x eta grids."""
     return grid * (grid // 3 + 1) * grid * 3 * 16
@@ -170,7 +162,7 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     if grid < 32:
         raise ValueError("grid must be >= 32")
     _within_budget(_h2_samples(grid))
-    import numpy as np
+    from . import oracles
     details: dict = {}
 
     # --- the groups are the moduli, then the capped-slice step -------------
@@ -187,22 +179,7 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     exact = signs_ok and step_ok and witness == Fraction(-1, 4)
 
     # --- float oracle ----------------------------------------------------
-    gam = _polar_grid(grid // 3 + 1, grid)
-    eta = _polar_grid(3, 16)
-    one_minus_g2 = (1 - np.abs(gam) ** 2)[:, None]
-    gcol = gam[:, None]
-    erow = eta[None, :]
-    observed = 0.0
-    samples = 0
-    for p1 in np.linspace(0.0, 2.0, grid):
-        s = 4 - p1 * p1
-        a = -19 * p1 ** 4 / 3072
-        b = p1 * p1 * s / 384
-        c = (p1 ** 4 + 8 * p1 * p1 - 48) / 192
-        d0 = p1 * s / 24
-        vals = np.abs(a + b * gcol + c * gcol ** 2 + d0 * erow * one_minus_g2)
-        observed = max(observed, float(vals.max()))
-        samples += vals.size
+    observed, samples = oracles._h2_scan(grid)
     details["oracle_samples"] = samples
     details["oracle_max"] = observed
     floats = samples >= 10 ** 5 and observed <= 0.25 + 1e-9
@@ -216,28 +193,6 @@ def verify_h2(grid: int = 32) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # |H3(1)| <= 1/9
 # ---------------------------------------------------------------------------
-
-def _h3_param(c1, gam, eta, rho):
-    """The h3 polynomial through the Schwarz parametrization, numpy-native.
-
-    This duplicates the scalar formulas on purpose: the oracle must not
-    depend on the code path it is checking.  rho enters only through the
-    (1 - |eta|^2) rho term of c4, so the value is affine in rho.
-    """
-    import numpy as np
-    u = 1 - c1 * c1
-    g2 = 1 - np.abs(gam) ** 2
-    e2 = 1 - np.abs(eta) ** 2
-    c2 = u * gam
-    c3 = u * (g2 * eta - c1 * gam ** 2)
-    c4 = u * (c1 * c1 * gam ** 3
-              - g2 * (2 * c1 * gam * eta + np.conjugate(gam) * eta ** 2 - e2 * rho))
-    val = (-61 * c1 ** 6 + 244 * c1 ** 4 * c2 + 464 * c1 ** 3 * c3
-           + 1088 * c1 * c2 * c3
-           - 8 * c1 * c1 * (89 * c2 * c2 + 108 * c4)
-           - 32 * (9 * c2 ** 3 + 32 * c3 * c3 - 36 * c2 * c4))
-    return val
-
 
 def _h3_samples(grid: int) -> int:
     """Samples of the verify_h3 grid oracle: c1 x gamma x eta x rho grids."""
@@ -270,7 +225,7 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     if grid < 4:  # the smallest grid whose oracle reaches 10^4 samples
         raise ValueError("grid must be >= 4")
     _within_budget(_h3_samples(grid))
-    import numpy as np
+    from . import oracles
     red = build_h3_reduction()
     details: dict = {}
 
@@ -287,41 +242,10 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     exact = gap_ok and step_ok and sharp == -MAJORANT_TARGET
 
     # --- float oracle ----------------------------------------------------
-    # the value is affine in rho: per c1 and block of (gamma, eta) points,
-    # P at rho = 0 and Q = (value at rho = 1) - P give |P + Q rho| at
-    # every rho sample, in blocks of at most _BLOCK_SAMPLES either way
-    c1s = np.linspace(0.0, 1.0, grid + 1)
-    gam = _polar_grid(grid // 2 + 1, 2 * grid)
-    eta = _polar_grid(3, grid)
-    rho = _polar_grid(2, 8)
-    ec = eta[None, :]
-    rc = rho[None, None, :]
-    span = max(1, _BLOCK_SAMPLES // eta.size)
-    rows = max(1, _BLOCK_SAMPLES // (eta.size * rho.size))
-    # H on the rings, (c1, |gamma|, |eta|): _polar_grid lists its points
-    # ring by ring, so point k of gam is on ring k // (2 grid), of eta on
-    # ring k // grid
-    maj = red.majorant(c1s[:, None, None],
-                       np.linspace(0.0, 1.0, grid // 2 + 1)[:, None],
-                       np.linspace(0.0, 1.0, 3))
-    eta_ring = np.arange(eta.size) // grid
-    observed = 0.0
-    samples = 0
-    dominated = True
-    for c1, maj_c1 in zip(c1s, maj):
-        for start in range(0, gam.size, span):
-            gc = gam[start:start + span, None]
-            p = _h3_param(c1, gc, ec, 0.0)
-            q = _h3_param(c1, gc, ec, 1.0) - p
-            gam_ring = np.arange(start, start + len(gc))[:, None] // (2 * grid)
-            # over the closed rho disk |P + Q rho| peaks at |P| + |Q|
-            dominated &= bool(np.all(np.abs(p) + np.abs(q)
-                                     <= maj_c1[gam_ring, eta_ring] + 1e-9))
-            p, q = p[:, :, None], q[:, :, None]
-            for row in range(0, len(p), rows):
-                vals = np.abs(p[row:row + rows] + q[row:row + rows] * rc)
-                observed = max(observed, float(vals.max()))
-                samples += vals.size
+    # H is evaluated here, on the grid's rings: the oracle calls no
+    # certified code
+    observed, samples, dominated = oracles._h3_scan(
+        grid, red.majorant(*oracles._h3_rings(grid)))
     details["oracle_samples"] = samples
     details["oracle_max_scaled"] = observed
     details["majorant_dominates_samples"] = dominated
@@ -354,62 +278,6 @@ class A4Search(NamedTuple):
     samples: int
 
 
-def _a4(c1, gam, eta):
-    """a4 = c3/3 + (2/3) c1 c2 + (7/24) c1^3 through the Schwarz
-    parametrization, with u = 1 - c1^2, c2 = u gamma and
-    c3 = u ((1 - |gamma|^2) eta - c1 gamma^2): affine in eta, through c3.
-
-    The operations run in that order in one array of the broadcast shape.
-    As one expression, each operation makes a fresh array (627 KB per
-    coarse row of max_a4) that the allocator may map and unmap each time:
-    split from its modulus that way, a fresh ``max-a4`` took about 20k
-    more page faults and 40 ms more CPU time.
-    """
-    import numpy as np
-    u = 1 - c1 * c1
-    c2 = u * gam
-    val = np.empty(np.broadcast_shapes(np.shape(c1), np.shape(gam),
-                                       np.shape(eta)), complex)
-    np.multiply(1 - np.abs(gam) ** 2, eta, out=val)
-    np.subtract(val, c1 * gam ** 2, out=val)
-    np.multiply(u, val, out=val)                        # c3
-    np.divide(val, 3, out=val)
-    np.add(val, (2 / 3) * c1 * c2, out=val)
-    np.add(val, (7 / 24) * c1 ** 3, out=val)
-    return val
-
-
-def _a4_abs(c1, gam, eta):
-    import numpy as np
-    return np.abs(_a4(c1, gam, eta))
-
-
-def _a4_coarse(grid: int) -> tuple[tuple, int]:
-    """The coarse polar scan of :func:`max_a4`: its incumbent
-    (value, c1, gamma, eta) and sample count.
-
-    One c1 row at a time; the strict ``>`` keeps the first maximum in C
-    order, the index ``np.argmax`` picks over the whole (c1, gamma, eta)
-    array.
-    """
-    import numpy as np
-    c1s = np.linspace(0.0, 1.0, grid + 1)
-    gam = _polar_grid(grid // 3 + 1, 2 * grid)
-    eta = _polar_grid(3, 8)
-    gc = gam[None, :, None]
-    ec = eta[None, None, :]
-    best = (-1.0, 0.0, 0.0 + 0j, 0.0 + 0j)
-    samples = 0
-    for i in range(c1s.size):
-        vals = _a4_abs(c1s[i:i + 1, None, None], gc, ec)
-        samples += vals.size
-        _, j, k = np.unravel_index(np.argmax(vals), vals.shape)
-        if float(vals[0, j, k]) > best[0]:
-            best = (float(vals[0, j, k]), float(c1s[i]), complex(gam[j]),
-                    complex(eta[k]))
-    return best, samples
-
-
 def _a4_samples(grid: int, refine: int) -> int:
     """Samples of max_a4: coarse c1 x gamma x eta scan, then refinements."""
     return (grid + 1) * (grid // 3 + 1) * 2 * grid * 3 * 8 + refine * 9 * 81 * 25
@@ -429,35 +297,10 @@ def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
     if refine < 1:
         raise ValueError("refine must be >= 1")
     _within_budget(_a4_samples(grid, refine))
-    import numpy as np
-    (val, c1b, gb, eb), samples = _a4_coarse(grid)
-
-    # shrinking-window refinement around the incumbent
-    w_c, w_r, w_t = 1.5 / grid, 0.4, 0.4
-    for _ in range(refine):
-        rb, tb = abs(gb), math.atan2(gb.imag, gb.real)
-        re_, te = abs(eb), math.atan2(eb.imag, eb.real)
-        c1_loc = np.clip(np.linspace(c1b - w_c, c1b + w_c, 9), 0.0, 1.0)
-        g_loc = (np.clip(np.linspace(rb - w_r, rb + w_r, 9), 0.0, 1.0)[:, None]
-                 * np.exp(1j * np.linspace(tb - w_t, tb + w_t, 9))[None, :]).ravel()
-        e_loc = (np.clip(np.linspace(re_ - w_r, re_ + w_r, 5), 0.0, 1.0)[:, None]
-                 * np.exp(1j * np.linspace(te - w_t, te + w_t, 5))[None, :]).ravel()
-        vals = _a4_abs(c1_loc[:, None, None], g_loc[None, :, None],
-                       e_loc[None, None, :])
-        samples += vals.size
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        if float(vals[idx]) > val:
-            val = float(vals[idx])
-            c1b = float(c1_loc[idx[0]])
-            gb = complex(g_loc[idx[1]])
-            eb = complex(e_loc[idx[2]])
-        w_c *= 0.65
-        w_r *= 0.65
-        w_t *= 0.65
-
+    from . import oracles
+    (val, c1b, gb, eb), samples = oracles._a4_search(grid, refine)
     # the family peaks where its derivative 1 - (31/8) t^2 vanishes
     t_star = math.sqrt(8 / 31)
-
     return A4Search(value=val, c1=c1b, gamma=gb, eta=eb,
                     family_t=t_star, family_value=a4_family(t_star),
                     samples=samples)

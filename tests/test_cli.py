@@ -371,15 +371,21 @@ def test_certify_h3_smallest_grid(capsys):
     assert code == 0 and "oracle_samples: 23040" in out
 
 
-@pytest.mark.parametrize("argv", [
+HUGE_GRIDS = [
     ["verify-h2", "--grid", "100000"],
     ["certify-h3", "--grid", "100000"],
     ["max-a4", "--grid", "100000"],
     ["max-a4", "--refine", "10000000"],
     ["scan-phi", "--grid", "100000"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_GRIDS)
 def test_huge_grid_exits_64_before_allocating(capsys, argv):
-    # max-a4 --grid 100000 once asked for 33,334 x 200,000 complex values
+    # max-a4 --grid 100000 once asked for 33,334 x 200,000 complex values.
+    # The entry modules are imported before tracing starts, so the ceiling
+    # counts the refused call alone, whichever test ran first.
+    from starcert import gft, verify  # noqa: F401
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *argv)
@@ -390,6 +396,26 @@ def test_huge_grid_exits_64_before_allocating(capsys, argv):
     assert err.startswith(f"starcert {argv[0]}: the grid asks for ")
     assert err.endswith(" samples, more than the budget of 1000000000\n")
     assert peak < 2 ** 20
+
+
+REFUSED_PROBE = r"""
+import json, sys
+from starcert.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules, "starcert.oracles" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv", HUGE_GRIDS)
+def test_huge_grid_exits_64_before_loading_numpy(argv):
+    # in a fresh interpreter: each entry point checks its sample budget
+    # before it imports the oracles, and with them numpy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", REFUSED_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert json.loads(proc.stdout) == [64, False, False]
+    assert proc.stderr.startswith(f"starcert {argv[0]}: the grid asks for ")
 
 
 def _readme_cli_calls() -> list:

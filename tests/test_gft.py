@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starcert import gft
+from starcert import gft, oracles
 from starcert.gft import (JanowskiParams, h2_envelope, h2_terms,
                           h3_schwarz_poly, hankel2, hankel3, janowski_check,
                           lz_parametrize, ma_minda_scan, schwarz_parametrize,
@@ -368,8 +368,8 @@ def test_blocked_scan_matches_whole_array_reference(grid):
 def test_tangency_is_read_from_the_scan(monkeypatch, angle):
     # raise the boundary samples near one tangency point: the minimum
     # (at the other point) still passes, the tangency check must not
-    real = gft._boundary_distance
-    monkeypatch.setattr(gft, "_boundary_distance",
+    real = oracles._boundary_distance
+    monkeypatch.setattr(oracles, "_boundary_distance",
                         lambda t: real(t) + (np.abs(t - angle) < 1e-9))
     rep = ma_minda_scan(grid_density=16)
     assert rep.checks["boundary_distance_at_least_one"]

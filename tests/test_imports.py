@@ -31,7 +31,7 @@ for argv in (["expand", "--schwarz", "z"], ["radius"],
              ["scan-phi", "--grid", "8"], ["certify-h3", "--grid", "4"]):
     starcert.cli.main(argv)
     steps.append((argv[0], loaded(), "dataclasses" in sys.modules,
-                  "numpy.random" in sys.modules))
+                  "numpy.random" in sys.modules, "starcert.oracles" in sys.modules))
 print(json.dumps(steps))
 """
 
@@ -71,6 +71,8 @@ def test_exact_subcommands_do_not_load_numpy(tmp_path):
         ["bernstein", False],
         # the probe itself sees numpy once a float scan runs
         ["scan-phi", True], ["certify-h3", True]]
+    # only the float scans load the one module that imports numpy
+    assert [step[4] for step in steps[2:]] == [False] * 4 + [True] * 2
     # no starcert class is a dataclass, so nothing loads dataclasses (and
     # with it inspect, ast, dis and tokenize)
     assert [step[2] for step in steps[2:6]] == [False] * 4

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starcert import bernstein, gft, reduction as reduction_module, verify
+from starcert import bernstein, gft, oracles, reduction as reduction_module, verify
 from starcert.cli import main
 from starcert.poly import BiPoly
 from starcert.verify import (VerificationReport, a4_family, max_a4, verify_h2,
@@ -139,13 +139,13 @@ def test_max_a4_validates_arguments():
 def ref_h3_oracle(grid):
     """The H3 grid oracle as one _h3_param call per c1 over the whole
     (gamma, eta, rho) slab: (max, sample count)."""
-    gam = verify._polar_grid(grid // 2 + 1, 2 * grid)
-    eta = verify._polar_grid(3, grid)
-    rho = verify._polar_grid(2, 8)
+    gam = oracles._polar_grid(grid // 2 + 1, 2 * grid)
+    eta = oracles._polar_grid(3, grid)
+    rho = oracles._polar_grid(2, 8)
     observed, samples = 0.0, 0
     for c1 in np.linspace(0.0, 1.0, grid + 1):
-        vals = np.abs(verify._h3_param(c1, gam[:, None, None], eta[None, :, None],
-                                       rho[None, None, :]))
+        vals = np.abs(oracles._h3_param(c1, gam[:, None, None], eta[None, :, None],
+                                        rho[None, None, :]))
         observed = max(observed, float(vals.max()))
         samples += vals.size
     return observed, samples
@@ -155,10 +155,10 @@ def ref_a4_coarse(grid):
     """The max_a4 coarse scan as one broadcast over (c1, gamma, eta) and
     np.argmax: ((value, c1, gamma, eta), sample count)."""
     c1s = np.linspace(0.0, 1.0, grid + 1)
-    gam = verify._polar_grid(grid // 3 + 1, 2 * grid)
-    eta = verify._polar_grid(3, 8)
-    vals = verify._a4_abs(c1s[:, None, None], gam[None, :, None],
-                          eta[None, None, :])
+    gam = oracles._polar_grid(grid // 3 + 1, 2 * grid)
+    eta = oracles._polar_grid(3, 8)
+    vals = np.abs(oracles._a4(c1s[:, None, None], gam[None, :, None],
+                              eta[None, None, :]))
     i, j, k = np.unravel_index(np.argmax(vals), vals.shape)
     return ((float(vals[i, j, k]), float(c1s[i]), complex(gam[j]),
              complex(eta[k])), vals.size)
@@ -173,14 +173,14 @@ def test_h3_oracle_matches_whole_slab_reference(grid, h3_report):
 
 @pytest.mark.parametrize("grid", [16, 24, 48])
 def test_a4_coarse_matches_full_broadcast_argmax(grid):
-    assert verify._a4_coarse(grid) == ref_a4_coarse(grid)
+    assert oracles._a4_coarse(grid) == ref_a4_coarse(grid)
 
 
 def test_a4_coarse_breaks_ties_like_argmax(monkeypatch):
     # rounded values tie across many c1 rows; the first in C order wins
-    exact = verify._a4_abs
-    monkeypatch.setattr(verify, "_a4_abs", lambda *args: np.round(exact(*args), 1))
-    assert verify._a4_coarse(24) == ref_a4_coarse(24)
+    exact = oracles._a4
+    monkeypatch.setattr(oracles, "_a4", lambda *args: np.round(np.abs(exact(*args)), 1))
+    assert oracles._a4_coarse(24) == ref_a4_coarse(24)
 
 
 def _disk(rng, n, modulus):
@@ -202,14 +202,14 @@ def test_affine_splits_match_the_literal_kernels():
     for c1_end, gam_mod, eta_mod, rho_mod in itertools.product(edges, repeat=4):
         c1 = rng.uniform(0, 1, n) if c1_end is None else np.full(n, c1_end)
         gam, eta, rho = (_disk(rng, n, m) for m in (gam_mod, eta_mod, rho_mod))
-        p = verify._h3_param(c1, gam, eta, 0.0)
-        q = verify._h3_param(c1, gam, eta, 1.0) - p
-        literal = np.abs(verify._h3_param(c1, gam, eta, rho))
+        p = oracles._h3_param(c1, gam, eta, 0.0)
+        q = oracles._h3_param(c1, gam, eta, 1.0) - p
+        literal = np.abs(oracles._h3_param(c1, gam, eta, rho))
         assert np.all(abs(np.abs(p + q * rho) - literal)
                       <= 1e-12 * np.maximum(1, literal))
-        p = verify._a4(c1, gam, 0.0)
-        q = verify._a4(c1, gam, 1.0) - p
-        literal = verify._a4_abs(c1, gam, eta)
+        p = oracles._a4(c1, gam, 0.0)
+        q = oracles._a4(c1, gam, 1.0) - p
+        literal = np.abs(oracles._a4(c1, gam, eta))
         assert np.all(abs(np.abs(p + q * eta) - literal)
                       <= 1e-12 * np.maximum(1, literal))
 
@@ -260,8 +260,8 @@ def test_broken_grid_kernel_fails_the_oracle(monkeypatch, capsys):
     # a relative error of 1e-6 lifts the sampled maximum 1024 past the
     # oracle's 1024 (1 + 1e-9), and |P| + |Q| past H where they meet; no
     # exact step reads the kernel
-    exact = verify._h3_param
-    monkeypatch.setattr(verify, "_h3_param",
+    exact = oracles._h3_param
+    monkeypatch.setattr(oracles, "_h3_param",
                         lambda *args: exact(*args) * (1 + 1e-6))
     report = verify_h3(grid=4)
     d = report.details
@@ -305,8 +305,8 @@ def test_h3_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys):
     # the scaled kernel alone fails the grid oracle (see
     # test_broken_grid_kernel_fails_the_oracle); the wrong sharpness value
     # fails an exact step at the same time, and that decides the verdict
-    exact = verify._h3_param
-    monkeypatch.setattr(verify, "_h3_param",
+    exact = oracles._h3_param
+    monkeypatch.setattr(oracles, "_h3_param",
                         lambda *args: exact(*args) * (1 + 1e-6))
     monkeypatch.setattr(verify, "hankel3", lambda a: F(-1023, 9216))
     report = verify_h3(grid=4)
@@ -436,8 +436,8 @@ def test_h2_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys,
                                                      flip_c, failure, code):
     # a grid scaled by 1.5 samples gamma and eta outside the disk, which
     # lifts the oracle's maximum far past 1/4 while no exact step reads it
-    grid = verify._polar_grid
-    monkeypatch.setattr(verify, "_polar_grid", lambda *args: grid(*args) * 1.5)
+    grid = oracles._polar_grid
+    monkeypatch.setattr(oracles, "_polar_grid", lambda *args: grid(*args) * 1.5)
     if flip_c:
         monkeypatch.setattr(verify, "_h2_slice", _slice_with(
             lambda A, B, C, D, g1, g0: (A, B, -C, D, g1, g0)))

@@ -43,6 +43,7 @@ BERNSTEIN = "src/starcert/bernstein.py"
 POLY = "src/starcert/poly.py"
 VERIFY = "src/starcert/verify.py"
 GFT = "src/starcert/gft.py"
+ORACLES = "src/starcert/oracles.py"
 SELF_TEST = "tests/test_mutants.py"
 
 
@@ -138,15 +139,20 @@ MUTANTS = [
            "gap_ok and step_ok and sharp", "gap_ok and sharp"),
     Mutant("h3-sharpness", VERIFY,
            " and sharp == -MAJORANT_TARGET", ""),
-    # verify_h3's majorant domination on the grid: |P| alone in place of
-    # the peak |P| + |Q| over the rho disk, a tolerance of 1e-3, and each
-    # eta point matched with H on the wrong ring
-    Mutant("domination-rho-disk", VERIFY,
+    # the H3 oracle's majorant domination on its grid: |P| alone in place
+    # of the peak |P| + |Q| over the rho disk, a tolerance of 1e-3, and
+    # each eta point matched with H on the wrong ring
+    Mutant("domination-rho-disk", ORACLES,
            "np.abs(p) + np.abs(q)", "np.abs(p)"),
-    Mutant("domination-tolerance", VERIFY,
+    Mutant("domination-tolerance", ORACLES,
            "maj_c1[gam_ring, eta_ring] + 1e-9", "maj_c1[gam_ring, eta_ring] + 1e-3"),
-    Mutant("domination-eta-ring", VERIFY,
+    Mutant("domination-eta-ring", ORACLES,
            "np.arange(eta.size) // grid", "np.arange(eta.size) // (2 * grid)"),
+    # the oracles reaching into the certified path: the module still
+    # imports and every value is the same, so only the import-graph test
+    # in tests/test_oracles.py can tell
+    Mutant("oracle-imports-certified", ORACLES, "import numpy as np\n",
+           "import numpy as np\n\nfrom .gft import schwarz_parametrize\n"),
     # verify_h2's exact conjunction: the group signs, the step, sharpness
     Mutant("h2-signs", VERIFY,
            "exact = signs_ok and step_ok", "exact = step_ok"),
