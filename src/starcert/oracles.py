@@ -5,6 +5,11 @@ starcert: each kernel re-derives its formula, so a bug would have to appear
 in two unrelated routes to go unnoticed.  Its callers (``verify_h2``,
 ``verify_h3``, ``max_a4`` and ``gft.ma_minda_scan``) check their sample
 budget before they import it, and judge what it measures.
+
+Every scan evaluates its grid in blocks of at most ``_BLOCK_SAMPLES``
+samples, cut by ``_blocks``, and holds only its one-dimensional axes
+whole, so its memory does not grow with the number of samples.  Blocking
+changes no sample, no sample count and no maximum.
 """
 from __future__ import annotations
 
@@ -12,10 +17,24 @@ import math
 
 import numpy as np
 
-# Grids are evaluated in blocks of about this many samples, so each complex
-# temporary stays near 256 KB and in cache; the formulas are elementwise,
+# The one block rule: no numpy temporary spans more than this many
+# samples, whatever the grid, so memory stays flat in the grid.  A complex
+# block is 64 KB; of 2^12, 2^13 and 2^14 samples, 2^12 gave each fresh
+# oracle subcommand the lowest peak RSS.  The formulas are elementwise,
 # so blocking changes no value.
-_BLOCK_SAMPLES = 1 << 14
+_BLOCK_SAMPLES = 1 << 12
+
+
+def _blocks(n: int, per_item: int = 1):
+    """Slices that cut range(n) into runs of _BLOCK_SAMPLES // per_item
+    items (at least one), the last run partial: each block of an n x
+    per_item array spans at most _BLOCK_SAMPLES samples unless per_item
+    alone does: then each block is one row, which _phi_scan and
+    _a4_first_max cut again.  Within the sample budget the innermost axes
+    (eta, and eta x rho in _h3_scan: at most 3216 samples) always fit."""
+    step = max(1, _BLOCK_SAMPLES // per_item)
+    for start in range(0, n, step):
+        yield slice(start, start + step)
 
 
 def _polar_grid(n_radii: int, n_angles: int):
@@ -27,7 +46,8 @@ def _polar_grid(n_radii: int, n_angles: int):
 
 def _h2_scan(grid: int) -> tuple[float, int]:
     """Max of |A + B gamma + C gamma^2 + D (1 - |gamma|^2)| over p1 in [0, 2]
-    and gamma, eta in the closed disk (D carries eta), and the sample count."""
+    and gamma, eta in the closed disk (D carries eta), and the sample count.
+    Per p1, the (gamma, eta) slice runs in blocks of gamma."""
     gam = _polar_grid(grid // 3 + 1, grid)
     eta = _polar_grid(3, 16)
     one_minus_g2 = (1 - np.abs(gam) ** 2)[:, None]
@@ -41,9 +61,11 @@ def _h2_scan(grid: int) -> tuple[float, int]:
         b = p1 * p1 * s / 384
         c = (p1 ** 4 + 8 * p1 * p1 - 48) / 192
         d0 = p1 * s / 24
-        vals = np.abs(a + b * gcol + c * gcol ** 2 + d0 * erow * one_minus_g2)
-        observed = max(observed, float(vals.max()))
-        samples += vals.size
+        for g in _blocks(gam.size, eta.size):
+            vals = np.abs(a + b * gcol[g] + c * gcol[g] ** 2
+                          + d0 * erow * one_minus_g2[g])
+            observed = max(observed, float(vals.max()))
+            samples += vals.size
     return observed, samples
 
 
@@ -86,8 +108,6 @@ def _h3_scan(grid: int, maj) -> tuple[float, int, bool]:
     rho = _polar_grid(2, 8)
     ec = eta[None, :]
     rc = rho[None, None, :]
-    span = max(1, _BLOCK_SAMPLES // eta.size)
-    rows = max(1, _BLOCK_SAMPLES // (eta.size * rho.size))
     # _polar_grid lists its points ring by ring, so point k of gam is on
     # ring k // (2 grid), of eta on ring k // grid
     eta_ring = np.arange(eta.size) // grid
@@ -95,16 +115,16 @@ def _h3_scan(grid: int, maj) -> tuple[float, int, bool]:
     samples = 0
     dominated = True
     for c1, maj_c1 in zip(c1s, maj):
-        for start in range(0, gam.size, span):
-            gc = gam[start:start + span, None]
+        for g in _blocks(gam.size, eta.size):
+            gc = gam[g, None]
             p = _h3_param(c1, gc, ec, 0.0)
             q = _h3_param(c1, gc, ec, 1.0) - p
-            gam_ring = np.arange(start, start + len(gc))[:, None] // (2 * grid)
+            gam_ring = np.arange(g.start, g.start + len(gc))[:, None] // (2 * grid)
             dominated &= bool(np.all(np.abs(p) + np.abs(q)
                                      <= maj_c1[gam_ring, eta_ring] + 1e-9))
             p, q = p[:, :, None], q[:, :, None]
-            for row in range(0, len(p), rows):
-                vals = np.abs(p[row:row + rows] + q[row:row + rows] * rc)
+            for r in _blocks(len(p), eta.size * rho.size):
+                vals = np.abs(p[r] + q[r] * rc)
                 observed = max(observed, float(vals.max()))
                 samples += vals.size
     return observed, samples, dominated
@@ -116,10 +136,11 @@ def _a4(c1, gam, eta):
     c3 = u ((1 - |gamma|^2) eta - c1 gamma^2): affine in eta, through c3.
 
     The operations run in that order in one array of the broadcast shape.
-    As one expression, each operation makes a fresh array (627 KB per
-    coarse row of max_a4) that the allocator may map and unmap each time:
-    split from its modulus that way, a fresh ``max-a4`` took about 20k
-    more page faults and 40 ms more CPU time.
+    As one expression, each operation makes a fresh array that the
+    allocator may map and unmap each time: when max_a4 still evaluated a
+    whole coarse c1 row (627 KB) at once, split from its modulus that way,
+    a fresh ``max-a4`` took about 20k more page faults and 40 ms more CPU
+    time.
     """
     u = 1 - c1 * c1
     c2 = u * gam
@@ -134,37 +155,46 @@ def _a4(c1, gam, eta):
     return val
 
 
+def _a4_first_max(best: tuple, c1s, gam, eta) -> tuple[tuple, int]:
+    """``best`` (value, c1, gamma, eta), or, if the largest |a4| on the
+    (c1, gamma, eta) grid beats it, the first point in C order where the
+    grid attains it; and the sample count.
+
+    The grid runs in blocks of whole (gamma, eta) rows while a row fits in
+    a block, else of one row in pieces along gamma, in C order; within a
+    block ``np.argmax`` picks the first maximum, and the strict ``>``
+    keeps it across blocks, so the point is the one ``np.argmax`` picks
+    over the whole array.
+    """
+    ec = eta[None, None, :]
+    samples = 0
+    for r in _blocks(c1s.size, gam.size * eta.size):
+        c1 = c1s[r, None, None]
+        for g in _blocks(gam.size, eta.size):
+            vals = np.abs(_a4(c1, gam[None, g, None], ec))
+            samples += vals.size
+            i, j, k = np.unravel_index(np.argmax(vals), vals.shape)
+            if float(vals[i, j, k]) > best[0]:
+                best = (float(vals[i, j, k]), float(c1[i, 0, 0]),
+                        complex(gam[g.start + j]), complex(eta[k]))
+    return best, samples
+
+
 def _a4_coarse(grid: int) -> tuple[tuple, int]:
     """The coarse polar scan of max_a4: its incumbent (value, c1, gamma,
-    eta) and sample count.
-
-    One c1 row at a time; the strict ``>`` keeps the first maximum in C
-    order, the index ``np.argmax`` picks over the whole (c1, gamma, eta)
-    array.
-    """
-    c1s = np.linspace(0.0, 1.0, grid + 1)
-    gam = _polar_grid(grid // 3 + 1, 2 * grid)
-    eta = _polar_grid(3, 8)
-    gc = gam[None, :, None]
-    ec = eta[None, None, :]
-    best = (-1.0, 0.0, 0.0 + 0j, 0.0 + 0j)
-    samples = 0
-    for i in range(c1s.size):
-        vals = np.abs(_a4(c1s[i:i + 1, None, None], gc, ec))
-        samples += vals.size
-        _, j, k = np.unravel_index(np.argmax(vals), vals.shape)
-        if float(vals[0, j, k]) > best[0]:
-            best = (float(vals[0, j, k]), float(c1s[i]), complex(gam[j]),
-                    complex(eta[k]))
-    return best, samples
+    eta) and sample count."""
+    return _a4_first_max((-1.0, 0.0, 0.0 + 0j, 0.0 + 0j),
+                         np.linspace(0.0, 1.0, grid + 1),
+                         _polar_grid(grid // 3 + 1, 2 * grid), _polar_grid(3, 8))
 
 
 def _a4_search(grid: int, refine: int) -> tuple[tuple, int]:
     """The coarse scan's incumbent, refined ``refine`` times in a shrinking
     window around it: ((value, c1, gamma, eta), sample count)."""
-    (val, c1b, gb, eb), samples = _a4_coarse(grid)
+    best, samples = _a4_coarse(grid)
     w_c, w_r, w_t = 1.5 / grid, 0.4, 0.4
     for _ in range(refine):
+        _, c1b, gb, eb = best
         rb, tb = abs(gb), math.atan2(gb.imag, gb.real)
         re_, te = abs(eb), math.atan2(eb.imag, eb.real)
         c1_loc = np.clip(np.linspace(c1b - w_c, c1b + w_c, 9), 0.0, 1.0)
@@ -172,24 +202,22 @@ def _a4_search(grid: int, refine: int) -> tuple[tuple, int]:
                  * np.exp(1j * np.linspace(tb - w_t, tb + w_t, 9))[None, :]).ravel()
         e_loc = (np.clip(np.linspace(re_ - w_r, re_ + w_r, 5), 0.0, 1.0)[:, None]
                  * np.exp(1j * np.linspace(te - w_t, te + w_t, 5))[None, :]).ravel()
-        vals = np.abs(_a4(c1_loc[:, None, None], g_loc[None, :, None],
-                          e_loc[None, None, :]))
-        samples += vals.size
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        if float(vals[idx]) > val:
-            val = float(vals[idx])
-            c1b = float(c1_loc[idx[0]])
-            gb = complex(g_loc[idx[1]])
-            eb = complex(e_loc[idx[2]])
+        best, n = _a4_first_max(best, c1_loc, g_loc, e_loc)
+        samples += n
         w_c *= 0.65
         w_r *= 0.65
         w_t *= 0.65
-    return (val, c1b, gb, eb), samples
+    return best, samples
+
+
+def _phi(z):
+    """The target function phi(z) = (1 + z/2)^2 at the numpy array ``z``."""
+    return (1 + z / 2) ** 2
 
 
 def _boundary_distance(t):
     """|phi(e^it) - 5/4|^2 at the angles of the numpy array ``t``."""
-    return np.abs((1 + np.exp(1j * t) / 2) ** 2 - 1.25) ** 2
+    return np.abs(_phi(np.exp(1j * t)) - 1.25) ** 2
 
 
 def _phi_scan(grid_density: int, radius: float, npts: int) -> tuple:
@@ -197,30 +225,33 @@ def _phi_scan(grid_density: int, radius: float, npts: int) -> tuple:
     radius: min and max of |phi|, min of Re phi, max of |z/(8 + 3z)|.  On
     npts (even) angles t_k = k 2 pi / npts: the min of _boundary_distance,
     its angle (the first, as np.argmin picks), and its values at t = 0 and
-    t = pi (k = 0 and k = npts / 2)."""
+    t = pi (k = 0 and k = npts / 2).  The disk grid runs in blocks of
+    whole rows, or of one row in pieces when a row is longer than a block;
+    the angles in blocks of consecutive k."""
     radii = np.linspace(0.0, radius, grid_density)
     circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4 * grid_density,
                                      endpoint=False))
-    rows = max(1, _BLOCK_SAMPLES // circle.size)
     mod_min, mod_max, min_real, max_ratio = math.inf, -math.inf, math.inf, -math.inf
-    for start in range(0, radii.size, rows):
-        z = radii[start:start + rows, None] * circle[None, :]
-        phi = (1 + z / 2) ** 2
-        mod = np.abs(phi)
-        mod_min, mod_max = min(mod_min, float(mod.min())), max(mod_max, float(mod.max()))
-        min_real = min(min_real, float(phi.real.min()))
-        max_ratio = max(max_ratio, float(np.abs(z / (8 + 3 * z)).max()))
+    # whole rows while a row fits in a block, else a row in pieces
+    for r in _blocks(radii.size, circle.size):
+        for c in _blocks(circle.size):
+            z = radii[r, None] * circle[None, c]
+            phi = _phi(z)
+            mod = np.abs(phi)
+            mod_min, mod_max = min(mod_min, float(mod.min())), max(mod_max, float(mod.max()))
+            min_real = min(min_real, float(phi.real.min()))
+            max_ratio = max(max_ratio, float(np.abs(z / (8 + 3 * z)).max()))
 
     step = 2 * math.pi / npts
     bnd_min, t_min = math.inf, 0.0
-    for start in range(0, npts, _BLOCK_SAMPLES):
-        t = np.arange(start, min(npts, start + _BLOCK_SAMPLES), dtype=float) * step
+    for b in _blocks(npts):
+        t = np.arange(b.start, min(npts, b.stop), dtype=float) * step
         bnd = _boundary_distance(t)
         k = int(np.argmin(bnd))
         if float(bnd[k]) < bnd_min:
             bnd_min, t_min = float(bnd[k]), float(t[k])
-        if start == 0:
+        if b.start == 0:
             at0 = float(bnd[0])
-        if 0 <= npts // 2 - start < bnd.size:
-            atpi = float(bnd[npts // 2 - start])
+        if 0 <= npts // 2 - b.start < bnd.size:
+            atpi = float(bnd[npts // 2 - b.start])
     return mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0, atpi

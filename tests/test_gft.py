@@ -364,6 +364,16 @@ def test_blocked_scan_matches_whole_array_reference(grid):
             rep.boundary_min, rep.boundary_argmin) == ref_phi_scan(grid, npts)
 
 
+def test_blocked_scan_splits_rows_longer_than_a_block(monkeypatch):
+    # in blocks of 2^8 samples each row of 360 points runs in two pieces
+    # (256 and 104), and the circle's 8100 points end in a partial block;
+    # at the real block size rows are this long from grid 1025 on
+    monkeypatch.setattr(oracles, "_BLOCK_SAMPLES", 1 << 8)
+    rep = ma_minda_scan(90)
+    assert (rep.min_modulus, rep.max_modulus, rep.min_real, rep.max_starlike_ratio,
+            rep.boundary_min, rep.boundary_argmin) == ref_phi_scan(90, 8100)
+
+
 @pytest.mark.parametrize("angle", [0.0, math.pi])
 def test_tangency_is_read_from_the_scan(monkeypatch, angle):
     # raise the boundary samples near one tangency point: the minimum

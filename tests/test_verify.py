@@ -164,6 +164,47 @@ def ref_a4_coarse(grid):
              complex(eta[k])), vals.size)
 
 
+def _window(center, w_r, w_t, n):
+    """The n x n polar window of max_a4's refinement around ``center``."""
+    r = np.clip(np.linspace(abs(center) - w_r, abs(center) + w_r, n), 0.0, 1.0)
+    t = math.atan2(center.imag, center.real)
+    return (r[:, None] * np.exp(1j * np.linspace(t - w_t, t + w_t, n))[None, :]).ravel()
+
+
+def ref_a4_search(grid, refine):
+    """max_a4's search with the coarse scan and each refinement one
+    broadcast and np.argmax: ((value, c1, gamma, eta), sample count)."""
+    (val, c1b, gb, eb), samples = ref_a4_coarse(grid)
+    w_c, w_r, w_t = 1.5 / grid, 0.4, 0.4
+    for _ in range(refine):
+        c1s = np.clip(np.linspace(c1b - w_c, c1b + w_c, 9), 0.0, 1.0)
+        gam, eta = _window(gb, w_r, w_t, 9), _window(eb, w_r, w_t, 5)
+        vals = np.abs(oracles._a4(c1s[:, None, None], gam[None, :, None],
+                                  eta[None, None, :]))
+        samples += vals.size
+        i, j, k = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[i, j, k] > val:
+            val, c1b, gb, eb = (float(vals[i, j, k]), float(c1s[i]),
+                                complex(gam[j]), complex(eta[k]))
+        w_c, w_r, w_t = 0.65 * w_c, 0.65 * w_r, 0.65 * w_t
+    return (val, c1b, gb, eb), samples
+
+
+def ref_h2_scan(grid):
+    """The verify_h2 oracle as one broadcast over the whole (p1, gamma,
+    eta) grid: (max, sample count)."""
+    gam = oracles._polar_grid(grid // 3 + 1, grid)[None, :, None]
+    eta = oracles._polar_grid(3, 16)[None, None, :]
+    coef = []
+    for p1 in np.linspace(0.0, 2.0, grid):
+        s = 4 - p1 * p1
+        coef.append((-19 * p1 ** 4 / 3072, p1 * p1 * s / 384,
+                     (p1 ** 4 + 8 * p1 * p1 - 48) / 192, p1 * s / 24))
+    a, b, c, d0 = (np.array(col)[:, None, None] for col in zip(*coef))
+    vals = np.abs(a + b * gam + c * gam ** 2 + d0 * eta * (1 - np.abs(gam) ** 2))
+    return float(vals.max()), vals.size
+
+
 @pytest.mark.parametrize("grid", [4, 12, 20])
 def test_h3_oracle_matches_whole_slab_reference(grid, h3_report):
     report = h3_report if grid == 12 else verify_h3(grid=grid)
@@ -177,10 +218,31 @@ def test_a4_coarse_matches_full_broadcast_argmax(grid):
 
 
 def test_a4_coarse_breaks_ties_like_argmax(monkeypatch):
-    # rounded values tie across many c1 rows; the first in C order wins
+    # rounded values tie across many c1 rows, and at grid 48 across the
+    # ten blocks of each row; the first in C order wins
     exact = oracles._a4
     monkeypatch.setattr(oracles, "_a4", lambda *args: np.round(np.abs(exact(*args)), 1))
     assert oracles._a4_coarse(24) == ref_a4_coarse(24)
+    row = (48 // 3 + 1) * 96 * 24
+    assert row > 9 * oracles._BLOCK_SAMPLES
+    assert oracles._a4_coarse(48) == ref_a4_coarse(48)
+
+
+def test_phi_scan_breaks_boundary_ties_like_argmin(monkeypatch):
+    # rounded distances tie on a run of angles around the first block
+    # boundary; the first of the run wins, the index np.argmin picks
+    # over the whole circle
+    npts, block = 100 * 100, oracles._BLOCK_SAMPLES
+    step = 2 * math.pi / npts
+    exact = oracles._boundary_distance
+    rounded = lambda t: np.round(exact(t - block * step), 1)  # noqa: E731
+    monkeypatch.setattr(oracles, "_boundary_distance", rounded)
+    t = np.arange(npts, dtype=float) * step
+    bnd = rounded(t)
+    k = int(np.argmin(bnd))
+    assert k < block and bnd[k] == bnd[block] == bnd[block - 1]
+    scan = oracles._phi_scan(100, gft._PHI_SCAN_RADIUS, npts)
+    assert scan[4:6] == (float(bnd[k]), float(t[k]))
 
 
 def _disk(rng, n, modulus):
@@ -454,11 +516,47 @@ def test_h2_exact_failure_outranks_an_oracle_failure(monkeypatch, capsys,
 # the sample budget
 # ---------------------------------------------------------------------------
 
-def test_sample_counts_match_the_oracles(h2_report, h3_report):
+def _last_block_partial(items, per_item=1):
+    """Whether blocks of an items x per_item array end in a partial one."""
+    return items % max(1, oracles._BLOCK_SAMPLES // per_item) != 0
+
+
+def test_sample_counts_match_the_oracles(monkeypatch, h2_report, h3_report):
     assert verify._h2_samples(32) == h2_report.details["oracle_samples"] == 540672
     assert verify._h3_samples(12) == h3_report.details["oracle_samples"] == 1257984
-    assert verify._a4_samples(48, 60) == max_a4().samples == 3012732
+    search = max_a4()
+    assert verify._a4_samples(48, 60) == search.samples == 3012732
     assert gft._phi_scan_samples(64, 64 * 64) == 64 * 256 + 4096 == 20480
+    # at grids whose last block is partial, each count is the budget
+    # formula's and each maximum (max_a4's witness too) is that of a
+    # one-shot reference
+    assert _last_block_partial(11 * 32, 48)                   # gamma of verify_h2
+    assert (h2_report.details["oracle_max"], 540672) == ref_h2_scan(32)
+    assert _last_block_partial(7 * 24, 36)                    # gamma of verify_h3
+    assert _last_block_partial(oracles._BLOCK_SAMPLES // 36, 36 * 16)  # its rho stage
+    assert (h3_report.details["oracle_max_scaled"], 1257984) == ref_h3_oracle(12)
+    assert _last_block_partial(17 * 96, 24)                   # gamma of max_a4
+    assert _last_block_partial(9, 81 * 25)                    # its refinements
+    assert ((search.value, search.c1, search.gamma, search.eta), search.samples) == \
+        ref_a4_search(48, 60)
+    assert _last_block_partial(7 * 40, 24)                    # at grid 20
+    search = max_a4(grid=20, refine=10)
+    assert ((search.value, search.c1, search.gamma, search.eta), search.samples) == \
+        ref_a4_search(20, 10)
+    assert search.samples == verify._a4_samples(20, 10)
+    # scan-phi, counted as the points where its oracle evaluates phi: at
+    # 130 the disk grid's and the circle's last blocks are partial (its
+    # extrema are checked against a one-shot reference in test_gft.py);
+    # at 1025 each row of 4100 points is longer than a block
+    assert _last_block_partial(130, 4 * 130) and _last_block_partial(130 ** 2)
+    assert 4 * 1025 > oracles._BLOCK_SAMPLES and _last_block_partial(4 * 1025)
+    seen, exact = [], oracles._phi
+    monkeypatch.setattr(oracles, "_phi", lambda z: seen.append(z.size) or exact(z))
+    for grid_density in (130, 1025):
+        seen.clear()
+        npts = grid_density ** 2 + grid_density % 2
+        oracles._phi_scan(grid_density, gft._PHI_SCAN_RADIUS, npts)
+        assert sum(seen) == gft._phi_scan_samples(grid_density, npts)
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +566,19 @@ def test_sample_counts_match_the_oracles(h2_report, h3_report):
 @pytest.mark.parametrize("oracle, ceiling_mb", [
     (max_a4, 8), (verify_h3, 4),
     # 44,928 (gamma, eta) points per c1: only a blocked P, Q stage passes
-    pytest.param(functools.partial(verify_h3, grid=24), 4, id="verify_h3_24-4")])
+    pytest.param(functools.partial(verify_h3, grid=24), 4, id="verify_h3_24-4"),
+    # 367,200 (gamma, eta) points per p1 and 367,200 per c1: only
+    # blocks of gamma pass
+    pytest.param(functools.partial(verify_h2, grid=150), 2, id="verify_h2_150-2"),
+    pytest.param(functools.partial(max_a4, grid=150, refine=1), 2,
+                 id="max_a4_150_1-2")])
 def test_oracle_peak_allocation(oracle, ceiling_mb, h3_report):
     # tracemalloc counts numpy buffers; evaluated whole, the grids peaked
-    # at about 90 MB (max_a4) and 7 MB (verify_h3), in blocks at 2.3 MB
-    # and 1.0 MB; at grid 24 verify_h3 peaks at 2.1 MB, and at 5.1 MB
-    # with its P, Q stage held whole per c1.  h3_report has filled the
-    # lazy caches.
+    # at about 90 MB (max_a4) and 7 MB (verify_h3); verify_h3 at grid 24
+    # at 5.1 MB with its P, Q stage held whole per c1, and verify_h2 and
+    # max_a4 at grid 150 at 14.4 MB and 11.4 MB with whole rows per p1 or
+    # c1.  In blocks of 2^12 samples every row peaks below 0.6 MB.
+    # h3_report has filled the lazy caches.
     tracemalloc.start()
     try:
         oracle()

@@ -148,6 +148,11 @@ MUTANTS = [
            "maj_c1[gam_ring, eta_ring] + 1e-9", "maj_c1[gam_ring, eta_ring] + 1e-3"),
     Mutant("domination-eta-ring", ORACLES,
            "np.arange(eta.size) // grid", "np.arange(eta.size) // (2 * grid)"),
+    # the block loop every oracle runs, with its last partial block
+    # dropped: test_sample_counts_match_the_oracles counts each oracle's
+    # samples at grids whose last block is partial
+    Mutant("oracle-last-block", ORACLES,
+           "for start in range(0, n, step):", "for start in range(0, n - n % step, step):"),
     # the oracles reaching into the certified path: the module still
     # imports and every value is the same, so only the import-graph test
     # in tests/test_oracles.py can tell
