@@ -17,8 +17,10 @@ rectangle lies between the smallest and largest Bernstein coefficient of
 ``f`` over that rectangle.  The kernel runs on integers: conversion clears
 every denominator once and applies integer matrices per axis, and midpoint
 de Casteljau subdivision is integer add and shift, the denominator gaining
-a power of two.  Fractions appear only at the edge: :func:`enclosure`, the
-``bcoeffs`` view, the ``Box`` end views, certificate node fields and JSON.
+a power of two.  The corner estimate sums the integer recentred terms
+over one denominator.  Fractions appear only at the edge: :func:`enclosure`,
+the margin :func:`corner_margin` returns, the ``bcoeffs`` view, the ``Box``
+end views, certificate node fields and JSON.
 Certificates can be re-validated independently by re-converting each node
 from the power basis, which is what :func:`check_certificate` does.
 """
@@ -37,10 +39,9 @@ from .poly import BiPoly
 from .rationals import as_fraction, format_rational, parse_rational
 
 __all__ = [
-    "Box", "UNIT_BOX", "BernsteinPatch", "CornerRule", "CornerSplit",
+    "Box", "UNIT_BOX", "BernsteinPatch", "CornerRule",
     "CertificateNode", "PositivityCertificate", "CertificateError",
-    "to_bernstein", "enclosure", "subdivide",
-    "corner_split", "corner_estimate",
+    "to_bernstein", "enclosure", "subdivide", "corner_margin",
     "certify_positive", "bound_above", "check_certificate",
 ]
 
@@ -195,16 +196,16 @@ _AXIS_CACHE_BYTES = 1 << 20
 class _AxisMaps:
     """Bounded memo of the fused per-axis maps of :func:`to_bernstein`, the
     packed p-axis maps of :func:`check_certificate` and the corner shifts
-    of :func:`corner_split`.
+    of :func:`corner_margin`.
 
     The gain rests on boxes that repeat: every node box of a certificate
     is a dyadic cell of its root box at one degree, so re-checking one
     certificate, or many over one root box, meets the same few intervals
     again and again.  Entries are ``(value, scale, size, bits)``; the key
     tells the kind: ``(m, ln, ld, hn, hd)`` an axis map, the same and a
-    field width for its packed columns, ``(m, cn, cd, side)`` a corner
-    shift.  The retained size, counted by :func:`_retained_size`, never
-    exceeds ``_AXIS_CACHE_BYTES``, whatever the degree or the size of the
+    field width for its packed columns, ``(m, cn, cd)`` a corner shift.
+    The retained size, counted by :func:`_retained_size`, never exceeds
+    ``_AXIS_CACHE_BYTES``, whatever the degree or the size of the
     interval's integers: the oldest entries go first, and an entry larger
     than the limit alone is returned but not kept.  Only the memo's dict
     table (about 100 bytes an entry) comes on top.
@@ -338,87 +339,57 @@ class CornerRule:
         return (self.p, self.x)
 
 
-class CornerSplit:
-    """F = Q + R around a zero corner mapped to the origin.
+def corner_margin(poly: BiPoly, box: Box,
+                  corner: tuple[Fraction, Fraction]) -> Optional[Fraction]:
+    """The margin of the corner estimate F >= margin * (p^2 + x^2) on
+    ``box``, or None where the rule does not apply.
 
-    Q = quad_pp p^2 + quad_px p x + quad_xx x^2 is the full quadratic part
-    (constant and linear parts vanish); every tail term has total degree
-    >= 3; the box is contained in [0, half_width]^2.
+    The rule applies when ``corner`` is a corner of ``box`` and ``poly``,
+    recentred there, has no constant or linear part.  Splitting the cross
+    term with 2|uv| <= u^2 + v^2 bounds the quadratic part below by
+    lambda (u^2 + v^2) with lambda = min(g20 - |g11|/2, g02 - |g11|/2),
+    and each tail monomial g_ij u^i v^j (i + j >= 3) by
+    |g_ij| h^(i+j-2) (u^2 + v^2) for |u|, |v| <= h, the larger box width.
+    So margin = lambda - sum |g_ij| h^(i+j-2); the estimate proves
+    ``poly > 0`` off the corner iff margin > 0.  Signs enter only through
+    |.|, so one shift t = c + u serves the low and the high end of an
+    axis.  The recentred rows are integers over den * sp * sx; with
+    h = hn/hd and k = max(m + n - 2, 0) the margin is one integer over
+    2 hd^k den sp sx.
     """
-
-    # tail: ((i, j, coeff), ...) with i + j >= 3
-    __slots__ = ("quad_pp", "quad_px", "quad_xx", "tail", "half_width")
-
-    def __init__(self, quad_pp, quad_px, quad_xx, tail, half_width):
-        self.quad_pp = as_fraction(quad_pp)
-        self.quad_px = as_fraction(quad_px)
-        self.quad_xx = as_fraction(quad_xx)
-        self.half_width = as_fraction(half_width)
-        self.tail = tail = tuple((int(i), int(j), as_fraction(c)) for i, j, c in tail)
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if any(i + j < 3 for i, j, _ in tail):
-            raise ValueError("tail terms must have total degree >= 3")
-
-
-def corner_split(poly: BiPoly, box: Box,
-                 corner: tuple[Fraction, Fraction]) -> Optional[CornerSplit]:
-    """Recenter ``poly`` at a zero corner of ``box``, if the rule applies.
-
-    Returns None when ``corner`` is not a corner of ``box`` or when the
-    recentered polynomial has nonvanishing constant or linear part (then
-    the quadratic lower bound cannot hold and the rule is inapplicable).
-    """
-    cp, cx = as_fraction(corner[0]), as_fraction(corner[1])
-    p_lo, p_hi, x_lo, x_hi = box.as_tuple()
-    if cp not in (p_lo, p_hi) or cx not in (x_lo, x_hi):
+    cp, cx = (as_fraction(c).as_integer_ratio() for c in corner)
+    p_ends, x_ends = box._ends
+    if cp not in (p_ends[:2], p_ends[2:]) or cx not in (x_ends[:2], x_ends[2:]):
         return None
     m, n = poly.bidegree
     rows, den = poly._integers
-    mp, sp, _, _ = _corner_shift(m, *cp.as_integer_ratio(), 1 if cp == p_lo else -1)
-    mx, sx, _, _ = _corner_shift(n, *cx.as_integer_ratio(), 1 if cx == x_lo else -1)
-    # the nonzero terms of the recentered polynomial, in row order
-    scale = den * sp * sx
-    g = {(i, j): Fraction(c, scale) for i, row in enumerate(_x_stage(_p_stage(rows, mp), mx))
+    mp, sp, _, _ = _corner_shift(m, *cp)
+    mx, sx, _, _ = _corner_shift(n, *cx)
+    # the nonzero terms of the recentred polynomial
+    g = {(i, j): c for i, row in enumerate(_x_stage(_p_stage(rows, mp), mx))
          for j, c in enumerate(row) if c}
     if (0, 0) in g or (1, 0) in g or (0, 1) in g:
         return None
-    tail = [(i, j, c) for (i, j), c in g.items() if i + j >= 3]
-    return CornerSplit(
-        quad_pp=g.get((2, 0), 0), quad_px=g.get((1, 1), 0), quad_xx=g.get((0, 2), 0),
-        tail=tail, half_width=max(p_hi - p_lo, x_hi - x_lo))
+    # h = hn/hd, the larger width, as cross-products compare the two
+    (wn, wd), (vn, vd) = [(un * ld - ln * ud, ld * ud) for ln, ld, un, ud in box._ends]
+    hn, hd = (wn, wd) if wn * vd >= vn * wd else (vn, vd)
+    k = max(m + n - 2, 0)
+    twice_lam = 2 * min(g.get((2, 0), 0), g.get((0, 2), 0)) - abs(g.get((1, 1), 0))
+    tail = sum(abs(c) * hn ** (i + j - 2) * hd ** (k - i - j + 2)
+               for (i, j), c in g.items() if i + j >= 3)
+    return Fraction(twice_lam * hd ** k - 2 * tail, 2 * hd ** k * den * sp * sx)
 
 
-def _corner_shift(m: int, cn: int, cd: int, side: int) -> tuple:
-    """The memo entry ``(S, cd^m, size, 0)`` of the shift t = c + side u
-    with c = cn/cd reduced: S/cd^m maps the power coefficients of a
-    degree-m polynomial in t to those in u.  ``side`` is 1 at a low end of
-    the box and -1 at a high one.  Row i of the :func:`_pencil` holds the
+def _corner_shift(m: int, cn: int, cd: int) -> tuple:
+    """The memo entry ``(S, cd^m, size, 0)`` of the shift t = c + u with
+    c = cn/cd reduced: S/cd^m maps the power coefficients of a degree-m
+    polynomial in t to those in u.  Row i of the :func:`_pencil` holds the
     u-coefficients of t^i cd^m, so S is its transpose."""
-    key = (m, cn, cd, side)
+    key = (m, cn, cd)
     entry = _AXIS_MAPS.get(key)
     if entry is None:
-        entry = _AXIS_MAPS.put(key, tuple(zip(*_pencil(m, cd, 0, cn, side * cd))),
-                               cd ** m)
+        entry = _AXIS_MAPS.put(key, tuple(zip(*_pencil(m, cd, 0, cn, cd))), cd ** m)
     return entry
-
-
-def corner_estimate(split: CornerSplit) -> tuple[bool, Fraction]:
-    """Try to certify F >= margin * (p^2 + x^2) on the corner box.
-
-    Splitting the cross term with 2px <= p^2 + x^2 bounds the quadratic
-    part below by lambda (p^2 + x^2) with
-    lambda = min(quad_pp - |quad_px|/2, quad_xx - |quad_px|/2), and each
-    tail monomial by |c| h^(i+j-2) (p^2 + x^2) for 0 <= p, x <= h.  The
-    estimate succeeds iff margin = lambda - tail_sum > 0 (lambda <= 0 is
-    an ordinary failure, not an error).
-    """
-    half_cross = abs(split.quad_px) / 2
-    lam = min(split.quad_pp - half_cross, split.quad_xx - half_cross)
-    tail_sum = sum((abs(c) * split.half_width ** (i + j - 2)
-                    for i, j, c in split.tail), start=Fraction(0))
-    margin = lam - tail_sum
-    return margin > 0, margin
 
 
 # ======================================================================
@@ -609,12 +580,9 @@ def _build_node(poly: BiPoly, patch: BernsteinPatch, depth_left: int,
     if lo > 0:
         return CertificateNode(patch.box, STATUS_POSITIVE, lo, hi)
     if corner_rule is not None:
-        split = corner_split(poly, patch.box, corner_rule.point())
-        if split is not None:
-            ok, margin = corner_estimate(split)
-            if ok:
-                return CertificateNode(patch.box, STATUS_CORNER, lo, hi,
-                                       margin=margin)
+        margin = corner_margin(poly, patch.box, corner_rule.point())
+        if margin is not None and margin > 0:
+            return CertificateNode(patch.box, STATUS_CORNER, lo, hi, margin=margin)
     if depth_left:
         children = tuple(_build_node(poly, child, depth_left - 1, corner_rule)
                          for child in subdivide(patch))
@@ -820,12 +788,11 @@ def check_certificate(poly: BiPoly, cert: PositivityCertificate,
                 raise CertificateError("corner leaf must have no children")
             if cert.corner_rule is None:
                 raise CertificateError("corner leaf without a corner rule")
-            split = corner_split(poly, node.box, cert.corner_rule.point())
-            if split is None:
+            margin = corner_margin(poly, node.box, cert.corner_rule.point())
+            if margin is None:
                 raise CertificateError(
                     f"corner rule does not apply on {node.box}")
-            ok, margin = corner_estimate(split)
-            if not ok:
+            if margin <= 0:
                 raise CertificateError(
                     f"corner estimate fails on {node.box}")
             if margin != node.margin:

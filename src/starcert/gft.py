@@ -309,6 +309,7 @@ class PhiScanReport(NamedTuple):
     boundary_argmin: float
     boundary_at_0: float
     boundary_at_pi: float
+    samples: int                   # points where the scan evaluated phi
     checks: dict
     passed: bool
 
@@ -339,8 +340,8 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
     npts += npts % 2  # keep t = pi on the grid
     _within_budget(_phi_scan_samples(grid_density, npts))
     from . import oracles
-    (mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0,
-     atpi) = oracles._phi_scan(grid_density, _PHI_SCAN_RADIUS, npts)
+    (mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0, atpi,
+     samples) = oracles._phi_scan(grid_density, _PHI_SCAN_RADIUS, npts)
     checks = {
         "modulus_above_quarter": mod_min > 0.25,
         "modulus_below_nine_quarters": mod_max < 2.25,
@@ -360,6 +361,7 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
         boundary_argmin=t_min,
         boundary_at_0=at0,
         boundary_at_pi=atpi,
+        samples=samples,
         checks=checks,
         passed=all(checks.values()),
     )

@@ -134,25 +134,11 @@ def _a4(c1, gam, eta):
     """a4 = c3/3 + (2/3) c1 c2 + (7/24) c1^3 through the Schwarz
     parametrization, with u = 1 - c1^2, c2 = u gamma and
     c3 = u ((1 - |gamma|^2) eta - c1 gamma^2): affine in eta, through c3.
-
-    The operations run in that order in one array of the broadcast shape.
-    As one expression, each operation makes a fresh array that the
-    allocator may map and unmap each time: when max_a4 still evaluated a
-    whole coarse c1 row (627 KB) at once, split from its modulus that way,
-    a fresh ``max-a4`` took about 20k more page faults and 40 ms more CPU
-    time.
     """
     u = 1 - c1 * c1
     c2 = u * gam
-    val = np.empty(np.broadcast_shapes(np.shape(c1), np.shape(gam),
-                                       np.shape(eta)), complex)
-    np.multiply(1 - np.abs(gam) ** 2, eta, out=val)
-    np.subtract(val, c1 * gam ** 2, out=val)
-    np.multiply(u, val, out=val)                        # c3
-    np.divide(val, 3, out=val)
-    np.add(val, (2 / 3) * c1 * c2, out=val)
-    np.add(val, (7 / 24) * c1 ** 3, out=val)
-    return val
+    return (u * ((1 - np.abs(gam) ** 2) * eta - c1 * gam ** 2) / 3
+            + (2 / 3) * c1 * c2 + (7 / 24) * c1 ** 3)
 
 
 def _a4_first_max(best: tuple, c1s, gam, eta) -> tuple[tuple, int]:
@@ -225,13 +211,15 @@ def _phi_scan(grid_density: int, radius: float, npts: int) -> tuple:
     radius: min and max of |phi|, min of Re phi, max of |z/(8 + 3z)|.  On
     npts (even) angles t_k = k 2 pi / npts: the min of _boundary_distance,
     its angle (the first, as np.argmin picks), and its values at t = 0 and
-    t = pi (k = 0 and k = npts / 2).  The disk grid runs in blocks of
+    t = pi (k = 0 and k = npts / 2).  Last, the sample count: the disk
+    grid's points and the angles.  The disk grid runs in blocks of
     whole rows, or of one row in pieces when a row is longer than a block;
     the angles in blocks of consecutive k."""
     radii = np.linspace(0.0, radius, grid_density)
     circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4 * grid_density,
                                      endpoint=False))
     mod_min, mod_max, min_real, max_ratio = math.inf, -math.inf, math.inf, -math.inf
+    samples = 0
     # whole rows while a row fits in a block, else a row in pieces
     for r in _blocks(radii.size, circle.size):
         for c in _blocks(circle.size):
@@ -241,12 +229,14 @@ def _phi_scan(grid_density: int, radius: float, npts: int) -> tuple:
             mod_min, mod_max = min(mod_min, float(mod.min())), max(mod_max, float(mod.max()))
             min_real = min(min_real, float(phi.real.min()))
             max_ratio = max(max_ratio, float(np.abs(z / (8 + 3 * z)).max()))
+            samples += z.size
 
     step = 2 * math.pi / npts
     bnd_min, t_min = math.inf, 0.0
     for b in _blocks(npts):
         t = np.arange(b.start, min(npts, b.stop), dtype=float) * step
         bnd = _boundary_distance(t)
+        samples += bnd.size
         k = int(np.argmin(bnd))
         if float(bnd[k]) < bnd_min:
             bnd_min, t_min = float(bnd[k]), float(t[k])
@@ -254,4 +244,4 @@ def _phi_scan(grid_density: int, radius: float, npts: int) -> tuple:
             at0 = float(bnd[0])
         if 0 <= npts // 2 - b.start < bnd.size:
             atpi = float(bnd[npts // 2 - b.start])
-    return mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0, atpi
+    return mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0, atpi, samples

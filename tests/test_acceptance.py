@@ -133,15 +133,14 @@ def test_c04_bernstein_round_three(reduction):
 # ---------------------------------------------------------------------------
 
 def test_c05_corner_estimate(reduction):
-    box = sc.Box(0, F(1, 8), 0, F(1, 8))
-    split = sc.corner_split(reduction.gap, box, (F(0), F(0)))
-    assert split is not None
-    assert (split.quad_pp, split.quad_px, split.quad_xx) == (2048, -1088, 896)
-    lam = min(split.quad_pp - abs(split.quad_px) / 2,
-              split.quad_xx - abs(split.quad_px) / 2)
+    # at the origin corner the recentred quadratic part is the gap's own
+    gap, box = reduction.gap, sc.Box(0, F(1, 8), 0, F(1, 8))
+    quad_pp, quad_px, quad_xx = gap.coeff(2, 0), gap.coeff(1, 1), gap.coeff(0, 2)
+    assert (quad_pp, quad_px, quad_xx) == (2048, -1088, 896)
+    lam = min(quad_pp - abs(quad_px) / 2, quad_xx - abs(quad_px) / 2)
     assert lam == 352                               # from 1504 p^2 + 352 x^2
-    ok, margin = sc.corner_estimate(split)
-    assert ok and margin == F(3959871, 131072)
+    margin = sc.corner_margin(gap, box, (F(0), F(0)))
+    assert margin == F(3959871, 131072)
     assert lam - margin == F(42177473, 131072)      # the tail sum
     _ok("corner estimate: lambda=352, tail=42177473/131072, "
         "margin=3959871/131072; certifies [0,1/8]^2")

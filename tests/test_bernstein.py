@@ -16,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 from starcert import bernstein
 from starcert.bernstein import (MAX_BOUND_DEPTH, MAX_DEPTH,
                                 UNIT_BOX, Box, CertificateError, CertificateNode,
-                                CornerRule, CornerSplit, PositivityCertificate,
+                                CornerRule, PositivityCertificate,
                                 STATUS_CORNER, STATUS_FAILED, STATUS_POSITIVE,
                                 STATUS_SUBDIVIDED,
                                 bound_above, certify_positive,
-                                check_certificate, corner_estimate,
-                                corner_split, enclosure, subdivide, to_bernstein)
+                                check_certificate, corner_margin,
+                                enclosure, subdivide, to_bernstein)
 from starcert.poly import MAX_DEGREE, BiPoly, format_poly_text, parse_poly_text
 from starcert.rationals import format_rational, parse_rational
 
@@ -437,91 +437,114 @@ CORNER_DEMO = BiPoly.from_terms([
 
 
 def test_corner_split_geometry():
-    box = Box(0, F(1, 8), 0, F(1, 8))
-    split = corner_split(CORNER_DEMO, box, (F(0), F(0)))
-    assert split is not None
-    assert (split.quad_pp, split.quad_px, split.quad_xx) == (5, -2, 4)
-    assert split.half_width == F(1, 8)
-    assert all(i + j >= 3 for i, j, _ in split.tail)
+    # h is the larger box width: lambda = min(5 - 1, 4 - 1) = 3, and the
+    # tail 80 h = 10 at h = 1/8 whichever axis is the wider
+    for box in (Box(0, F(1, 8), 0, F(1, 16)), Box(0, F(1, 16), 0, F(1, 8))):
+        assert corner_margin(CORNER_DEMO, box, (F(0), F(0))) == 3 - 10
 
 
 def test_corner_split_at_every_corner_of_a_non_unit_box():
-    # u = p - a and v = x - b recentre to u = +-s, v = +-t with s, t >= 0
-    # (+ at a low end, - at a high one), so the cross term and the cubes
-    # pick up the signs of their corner
+    # u = p - a and v = x - b recentre the polynomial at each corner; the
+    # signs of the cross term and the cubes count only through |.|
     box = Box(F(1, 3), F(1, 2), F(-1, 4), F(1, 5))
     p, x = BiPoly.var_p(), BiPoly.var_x()
-    for a, sp in ((box.p_lo, 1), (box.p_hi, -1)):
-        for b, sx in ((box.x_lo, 1), (box.x_hi, -1)):
+    for a in (box.p_lo, box.p_hi):
+        for b in (box.x_lo, box.x_hi):
             u, v = p - a, x - b
             f = 5 * u ** 2 + 2 * u * v + 4 * v ** 2 + 40 * u ** 3 - 40 * v ** 3
-            split = corner_split(f, box, (a, b))
-            assert (split.quad_pp, split.quad_px, split.quad_xx) == (5, 2 * sp * sx, 4)
-            assert sorted(split.tail) == [(0, 3, -40 * sx), (3, 0, 40 * sp)]
-            assert split.half_width == F(9, 20)
+            assert corner_margin(f, box, (a, b)) == 4 - 1 - 80 * F(9, 20)
     # an end of one axis only is no corner, though f vanishes to second
     # order there
     for a, b in ((box.p_lo, F(0)), (F(2, 5), box.x_hi)):
         f = 5 * (p - a) ** 2 + 4 * (x - b) ** 2
-        assert corner_split(f, box, (a, b)) is None
+        assert corner_margin(f, box, (a, b)) is None
 
 
 def test_corner_split_requires_corner_of_box():
     box = Box(0, F(1, 8), 0, F(1, 8))
-    assert corner_split(CORNER_DEMO, box, (F(1, 2), F(0))) is None
+    assert corner_margin(CORNER_DEMO, box, (F(1, 2), F(0))) is None
 
 
 def test_corner_split_requires_vanishing_linear_part():
     f = CORNER_DEMO + BiPoly.from_terms([(1, 0, 1)])
-    assert corner_split(f, Box(0, 1, 0, 1), (F(0), F(0))) is None
+    assert corner_margin(f, Box(0, 1, 0, 1), (F(0), F(0))) is None
 
 
 def test_corner_split_builds_each_shift_once(monkeypatch, reduction):
-    # the shifts are memoised by (degree, corner, side): a second call on
-    # the same corner, as for every corner leaf of a re-check, builds none
+    # the shifts are memoised by (degree, corner): a second call on the
+    # same corner, as for every corner leaf of a re-check, builds none
     memo = bernstein._AxisMaps()
     monkeypatch.setattr(bernstein, "_AXIS_MAPS", memo)
     calls = []
     real = bernstein._pencil
     monkeypatch.setattr(bernstein, "_pencil", lambda *a: calls.append(a) or real(*a))
     gap, box = reduction.gap, Box(0, F(1, 8), 0, F(1, 8))
-    first = corner_split(gap, box, (F(0), F(0)))
-    assert len(calls) == 2 and (6, 0, 1, 1) in memo._maps and (4, 0, 1, 1) in memo._maps
-    second = corner_split(gap, Box(0, F(1, 16), 0, F(1, 16)), (F(0), F(0)))
-    again = corner_split(gap, box, (F(0), F(0)))
+    first = corner_margin(gap, box, (F(0), F(0)))
+    assert len(calls) == 2 and (6, 0, 1) in memo._maps and (4, 0, 1) in memo._maps
+    second = corner_margin(gap, Box(0, F(1, 16), 0, F(1, 16)), (F(0), F(0)))
+    again = corner_margin(gap, box, (F(0), F(0)))
     assert len(calls) == 2
-    assert corner_estimate(again) == corner_estimate(first) != corner_estimate(second)
-    assert again.tail == first.tail
-    # a high end of the same point is another side, so another shift
-    assert corner_split(gap, Box(F(-1, 8), 0, 0, F(1, 8)), (F(0), F(0))) is not None
-    assert len(calls) == 3 and (6, 0, 1, -1) in memo._maps
+    assert again == first != second
+    # a high end of the same point takes the same shift
+    assert corner_margin(gap, Box(F(-1, 8), 0, 0, F(1, 8)), (F(0), F(0))) == first
+    assert len(calls) == 2
 
 
 def test_corner_estimate_margin():
     # lambda = min(5 - 1, 4 - 1) = 3; tail = 80 * (1/8) = 10 on [0,1/8]^2
-    split = corner_split(CORNER_DEMO, Box(0, F(1, 8), 0, F(1, 8)), (0, 0))
-    ok, margin = corner_estimate(split)
-    assert not ok and margin == 3 - 10
+    assert corner_margin(CORNER_DEMO, Box(0, F(1, 8), 0, F(1, 8)), (0, 0)) == 3 - 10
     # on a smaller box the tail shrinks: 80 * 1/64
-    split = corner_split(CORNER_DEMO, Box(0, F(1, 64), 0, F(1, 64)), (0, 0))
-    ok, margin = corner_estimate(split)
-    assert ok and margin == 3 - F(80, 64)
+    assert corner_margin(CORNER_DEMO, Box(0, F(1, 64), 0, F(1, 64)), (0, 0)) == \
+        3 - F(80, 64)
 
 
 def test_corner_estimate_certifies_at_reflected_corner():
-    # the zero may sit at any corner; reflection must handle (hi, hi)
-    g = BiPoly.from_terms([(2, 0, 5), (1, 1, 2), (0, 2, 4), (3, 0, 40)])
-    # g(1 - p', 1 - x') style corner at (1, 1) needs the full affine remap,
-    # so build a polynomial vanishing quadratically at (1, 1):
+    # the zero may sit at any corner, (hi, hi) too: f vanishes
+    # quadratically at (1, 1)
     p, x = BiPoly.var_p(), BiPoly.var_x()
     one = BiPoly.constant(1)
     f = 5 * (one - p) ** 2 + 2 * (one - p) * (one - x) + 4 * (one - x) ** 2 \
         + 40 * (one - p) ** 3
     box = Box(F(63, 64), 1, F(63, 64), 1)
-    split = corner_split(f, box, (F(1), F(1)))
-    assert split is not None
-    ok, margin = corner_estimate(split)
-    assert ok and margin == 4 - abs(F(2)) / 2 - F(40, 64)
+    assert corner_margin(f, box, (F(1), F(1))) == 4 - abs(F(2)) / 2 - F(40, 64)
+    cert = certify_positive(f, box, 0, CornerRule(1, 1))
+    assert cert.root.status == STATUS_CORNER and check_certificate(f, cert, box)
+
+
+def _rational(low, high):
+    # non-dyadic denominators among them
+    return st.builds(F, st.integers(low, high), st.sampled_from([1, 2, 3, 5, 7, 12]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p_lo=_rational(-9, 9), p_width=_rational(1, 9), x_lo=_rational(-9, 9),
+       x_width=_rational(1, 9), at_hi=st.tuples(st.booleans(), st.booleans()),
+       coeffs=st.dictionaries(
+           st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda ij: sum(ij) >= 2),
+           _rational(-20, 20)))
+def test_corner_margin_matches_its_formula(p_lo, p_width, x_lo, x_width, at_hi, coeffs):
+    # sum c_ij (p - a)^i (x - b)^j over i + j >= 2 vanishes to second
+    # order at (a, b); the rule applies at a corner of the box only
+    box = Box(p_lo, p_lo + p_width, x_lo, x_lo + x_width)
+    p, x = BiPoly.var_p(), BiPoly.var_x()
+
+    def vanishing_at(a, b):
+        f = BiPoly.constant(0)
+        for (i, j), c in coeffs.items():
+            f = f + c * (p - a) ** i * (x - b) ** j
+        return f
+
+    a = box.p_hi if at_hi[0] else box.p_lo
+    b = box.x_hi if at_hi[1] else box.x_lo
+    half_cross = F(abs(coeffs.get((1, 1), 0)), 2)
+    expected = (min(coeffs.get((2, 0), 0) - half_cross, coeffs.get((0, 2), 0) - half_cross)
+                - sum(abs(c) * max(p_width, x_width) ** (i + j - 2)
+                      for (i, j), c in coeffs.items() if i + j >= 3))
+    assert corner_margin(vanishing_at(a, b), box, (a, b)) == expected
+    mid_p, mid_x = (box.p_lo + box.p_hi) / 2, (box.x_lo + box.x_hi) / 2
+    assert corner_margin(vanishing_at(mid_p, mid_x), box, (mid_p, mid_x)) is None
+    assert corner_margin(vanishing_at(a, mid_x), box, (a, mid_x)) is None
+    assert corner_margin(vanishing_at(a, b) + (p - a), box, (a, b)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +855,15 @@ def _corner_claimed_a_level_up(gap):
     return _read(gap, doc, ORIGIN)
 
 
+def _corner_at_margin_zero(gap):
+    # p^2 + x^2 + p^3 has margin exactly 0 on [0,1]^2: no proof of > 0
+    f = BiPoly.from_terms([(2, 0, 1), (0, 2, 1), (3, 0, 1)])
+    doc = certify_positive(f, UNIT_BOX, 0).to_json_doc()
+    del doc["witness"]
+    doc.update(status=STATUS_CORNER, margin="0")
+    return _read(f, doc, ORIGIN)
+
+
 def _witness_at(p, x):
     # the failed leaf [0,1/2]^2 with the witness (p, x) and its true value
     doc = certify_positive(POSITIVE_POLY, UNIT_BOX, 1).to_json_doc()
@@ -894,6 +926,7 @@ def _positivity_claimed_at_min_zero(gap):
     (_corner_with_children, "corner leaf must have no children"),
     (_corner_under_another_rule, "corner rule does not apply on [0,1/8]x[0,1/8]"),
     (_corner_claimed_a_level_up, "corner estimate fails on [0,1/4]x[0,1/4]"),
+    (_corner_at_margin_zero, "corner estimate fails on [0,1]x[0,1]"),
     (_witness_from_another_box, "failure witness outside its box"),
     (_witness_below_p_lo, "failure witness outside its box"),
     (_witness_above_p_hi, "failure witness outside its box"),
@@ -978,7 +1011,10 @@ def test_checks_and_builds_leave_no_cyclic_garbage(reduction):
 
 def test_corner_estimate_refuses_margin_zero():
     # lambda = 1 and the tail 1 * 1^(3-2) = 1 leave margin 0: no proof of > 0
-    assert corner_estimate(CornerSplit(1, 0, 1, [(3, 0, 1)], 1)) == (False, 0)
+    f = BiPoly.from_terms([(2, 0, 1), (0, 2, 1), (3, 0, 1)])
+    assert corner_margin(f, UNIT_BOX, (0, 0)) == 0
+    cert = certify_positive(f, UNIT_BOX, 0, CornerRule(0, 0))
+    assert cert.root.status == STATUS_FAILED and not cert.succeeded
 
 
 def test_check_certificate_with_maps_larger_than_the_memo(monkeypatch):

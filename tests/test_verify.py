@@ -521,7 +521,7 @@ def _last_block_partial(items, per_item=1):
     return items % max(1, oracles._BLOCK_SAMPLES // per_item) != 0
 
 
-def test_sample_counts_match_the_oracles(monkeypatch, h2_report, h3_report):
+def test_sample_counts_match_the_oracles(h2_report, h3_report):
     assert verify._h2_samples(32) == h2_report.details["oracle_samples"] == 540672
     assert verify._h3_samples(12) == h3_report.details["oracle_samples"] == 1257984
     search = max_a4()
@@ -550,13 +550,10 @@ def test_sample_counts_match_the_oracles(monkeypatch, h2_report, h3_report):
     # at 1025 each row of 4100 points is longer than a block
     assert _last_block_partial(130, 4 * 130) and _last_block_partial(130 ** 2)
     assert 4 * 1025 > oracles._BLOCK_SAMPLES and _last_block_partial(4 * 1025)
-    seen, exact = [], oracles._phi
-    monkeypatch.setattr(oracles, "_phi", lambda z: seen.append(z.size) or exact(z))
     for grid_density in (130, 1025):
-        seen.clear()
         npts = grid_density ** 2 + grid_density % 2
-        oracles._phi_scan(grid_density, gft._PHI_SCAN_RADIUS, npts)
-        assert sum(seen) == gft._phi_scan_samples(grid_density, npts)
+        assert gft.ma_minda_scan(grid_density).samples == \
+            gft._phi_scan_samples(grid_density, npts)
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,14 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # check_certificate and the corner estimate
+    # check_certificate and the corner estimate: a margin of exactly 0
+    # accepted by the builder or by the checker
     Mutant("positive-leaf-min-zero", BERNSTEIN,
            "if lo <= 0:", "if lo < 0:"),
-    Mutant("corner-margin-zero", BERNSTEIN,
-           "return margin > 0, margin", "return margin >= 0, margin"),
+    Mutant("corner-margin-zero-build", BERNSTEIN,
+           "if margin is not None and margin > 0:", "if margin is not None and margin >= 0:"),
+    Mutant("corner-margin-zero-check", BERNSTEIN,
+           "if margin <= 0:", "if margin < 0:"),
     Mutant("witness-outside-box", BERNSTEIN,
            'raise CertificateError("failure witness outside its box")', "pass"),
     # one side of the witness-in-box test dropped: only a witness above
@@ -76,13 +79,19 @@ MUTANTS = [
            "stack += reversed(node.children)", "stack += node.children"),
     Mutant("failed-leaf-verdict", BERNSTEIN,
            "proved = False", "pass"),
+    # corner_margin: the cross term split at 1/4 in place of 1/2, the tail
+    # bounded with h^(i+j-3), a linear part let through, and a corner
+    # whose x coordinate is not an end of the box
     Mutant("corner-cross-half", BERNSTEIN,
-           "abs(split.quad_px) / 2", "abs(split.quad_px) / 4"),
+           "- abs(g.get((1, 1), 0))", "- abs(g.get((1, 1), 0)) // 2"),
     Mutant("corner-tail-power", BERNSTEIN,
-           "split.half_width ** (i + j - 2)", "split.half_width ** (i + j - 3)"),
+           "hn ** (i + j - 2) * hd ** (k - i - j + 2)",
+           "hn ** (i + j - 3) * hd ** (k - i - j + 3)"),
     Mutant("corner-linear-part", BERNSTEIN,
            "if (0, 0) in g or (1, 0) in g or (0, 1) in g:",
            "if (0, 0) in g:"),
+    Mutant("corner-membership", BERNSTEIN,
+           " or cx not in (x_ends[:2], x_ends[2:])", ""),
     # the checker's packed product: a field one bit short of the width
     # bound, or fields read without their bias
     Mutant("packed-width", BERNSTEIN,
@@ -93,8 +102,8 @@ MUTANTS = [
     Mutant("box-degenerate", BERNSTEIN,
            "if not (pln * phd < phn * pld and", "if not (pln * phd <= phn * pld and"),
     # a Fraction view of a Box reading the other axis's ends, which the
-    # witness-in-box test and corner_split read; on a square box neither
-    # can tell.  test_corner_bcoeffs_interpolate kills it first, and
+    # witness-in-box test and the lattice witness read; on a square box
+    # neither can tell.  test_corner_bcoeffs_interpolate kills it first, and
     # test_box_views_match_a_fraction_reference compares every view with
     # the ends it was given
     Mutant("box-view-axis", BERNSTEIN,
