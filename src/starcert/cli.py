@@ -28,6 +28,7 @@ __all__ = ["main"]
 USAGE_EXIT = 64
 CERT_EXIT = 2
 ORACLE_EXIT = 3
+_REPORT_EXIT = {None: 0, "certification": CERT_EXIT, "oracle": ORACLE_EXIT}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +73,10 @@ def _write(path: str, text: str) -> None:
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    _write(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _leaf_note(leaf) -> str:
@@ -126,21 +131,13 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _report_exit(report) -> int:
-    """0 if verified; 2 if an exact step failed; 3 if only a float oracle did."""
-    if report.verified:
-        return 0
-    return CERT_EXIT if report.details.get("failure") == "certification" \
-        else ORACLE_EXIT
-
-
 def _cmd_verify_h2(args) -> int:
     from .verify import verify_h2
     report = verify_h2(grid=args.grid)
     print(report.render())
     if args.json:
-        _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
-    return _report_exit(report)
+        _write_json(args.json, report.to_json_doc())
+    return _REPORT_EXIT[report.details["failure"]]
 
 
 def _cmd_certify_h3(args) -> int:
@@ -149,7 +146,6 @@ def _cmd_certify_h3(args) -> int:
     cert = report.certificate
     if args.out:
         _write(args.out, cert.to_json() + "\n")
-        report.artifacts.append(args.out)
     print(report.render())
     by_status: dict[str, int] = {}
     for leaf in cert.leaves():
@@ -157,8 +153,8 @@ def _cmd_certify_h3(args) -> int:
     print("  leaves by status: "
           + ", ".join(f"{k}={v}" for k, v in sorted(by_status.items())))
     if args.json:
-        _write(args.json, json.dumps(report.to_json_doc(), indent=2) + "\n")
-    return _report_exit(report)
+        _write_json(args.json, report.to_json_doc([args.out] if args.out else []))
+    return _REPORT_EXIT[report.details["failure"]]
 
 
 def _cmd_bernstein(args) -> int:
@@ -220,13 +216,13 @@ def _cmd_max_a4(args) -> int:
           f"eta={res.eta:.6f}")
     print(f"family argmax: t={res.family_t:.9f}  value={res.family_value:.9f}")
     if args.json:
-        _write(args.json, json.dumps({
+        _write_json(args.json, {
             "max_a4": res.value, "c1": res.c1,
             "gamma": [res.gamma.real, res.gamma.imag],
             "eta": [res.eta.real, res.eta.imag],
             "family_t": res.family_t, "family_value": res.family_value,
             "samples": res.samples,
-        }, indent=2) + "\n")
+        })
     return 0
 
 

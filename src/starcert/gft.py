@@ -268,7 +268,10 @@ class DiskReport(NamedTuple):
     outer_value: Fraction           # center + radius = (1 + A)/(1 + B)
     interval_test: bool             # 1/4 <= inner and outer <= 9/4
     disk_test: bool                 # |center - 5/4| + radius <= 1
-    agree: bool
+
+    @property
+    def agree(self) -> bool:
+        return self.interval_test == self.disk_test
 
 
 def janowski_check(j: JanowskiParams) -> tuple[bool, DiskReport]:
@@ -287,8 +290,7 @@ def janowski_check(j: JanowskiParams) -> tuple[bool, DiskReport]:
     outer = a + r
     interval_test = inner >= Fraction(1, 4) and outer <= Fraction(9, 4)
     disk_test = abs(a - Fraction(5, 4)) + r <= 1
-    report = DiskReport(a, r, inner, outer, interval_test, disk_test,
-                        interval_test == disk_test)
+    report = DiskReport(a, r, inner, outer, interval_test, disk_test)
     if not report.agree:  # pragma: no cover - the two tests are algebraically equal
         raise AssertionError("interval and disk tests disagree on exact input")
     return interval_test, report
@@ -311,7 +313,10 @@ class PhiScanReport(NamedTuple):
     boundary_at_pi: float
     samples: int                   # points where the scan evaluated phi
     checks: dict
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(self.checks.values())
 
 
 def _phi_scan_samples(grid_density: int, boundary_points: int) -> int:
@@ -363,7 +368,6 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
         boundary_at_pi=atpi,
         samples=samples,
         checks=checks,
-        passed=all(checks.values()),
     )
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .bernstein import (UNIT_BOX, Box, CornerRule, PositivityCertificate,
                         bound_above, certify_positive, check_certificate,
@@ -32,32 +32,35 @@ __all__ = ["VerificationReport", "verify_h2", "verify_h3",
            "A4Search", "max_a4", "a4_family"]
 
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one pipeline: a claim, its exact bound, and evidence.
 
-    Mutable: the CLI appends each file it writes to ``artifacts``."""
+    The verdict is stored once, as ``details["failure"]``: None if every
+    step held, ``"certification"`` if any exact step failed, else
+    ``"oracle"`` if a float check failed.  The status, the JSON and the
+    CLI's exit code all read it."""
 
-    __slots__ = ("claim", "bound", "status", "details", "artifacts", "certificate")
+    claim: str
+    bound: Fraction
+    details: dict
+    certificate: PositivityCertificate | None = None
 
-    def __init__(self, claim: str, bound: Fraction,
-                 status: str,                # "verified" | "failed"
-                 details: dict | None = None, artifacts: list | None = None,
-                 certificate: PositivityCertificate | None = None):
-        self.claim, self.bound, self.status = claim, bound, status
-        self.details = {} if details is None else details
-        self.artifacts = [] if artifacts is None else artifacts
-        self.certificate = certificate
+    @property
+    def status(self) -> str:
+        return "verified" if self.details["failure"] is None else "failed"
 
     @property
     def verified(self) -> bool:
         return self.status == "verified"
 
-    def to_json_doc(self) -> dict:
+    def to_json_doc(self, artifacts: Sequence[str] = ()) -> dict:
+        """The report as JSON; ``artifacts`` are the files the run wrote."""
         return {
             "claim": self.claim,
             "bound": format_rational(self.bound),
             "status": self.status,
-            "artifacts": list(self.artifacts),
+            "artifacts": list(artifacts),
+            "details": self.details,
         }
 
     def render(self) -> str:
@@ -71,15 +74,11 @@ class VerificationReport:
 
 
 def _report(claim: str, bound: Fraction, details: dict, exact: bool,
-            floats: bool, **extra) -> VerificationReport:
-    """The verdict of a pipeline: any failed exact step is a
-    ``certification`` failure; with every exact step holding, a failed
-    float check is an ``oracle`` failure."""
+            floats: bool, certificate=None) -> VerificationReport:
+    """The report, with the failure kind its exact steps and float checks give."""
     failure = "certification" if not exact else None if floats else "oracle"
-    return VerificationReport(
-        claim=claim, bound=bound,
-        status="verified" if failure is None else "failed",
-        details={**details, "failure": failure}, **extra)
+    return VerificationReport(claim, bound, {**details, "failure": failure},
+                              certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +154,6 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     Float oracle: a >= 10^5-point scan of |A + B gamma + C gamma^2 +
     D (1 - |gamma|^2)| over p1 in [0, 2] and gamma, eta in the closed
     disk must stay below 1/4 + 1e-9.
-
-    A failed exact step reports ``failure: certification``; only the float
-    oracle reports ``failure: oracle``.
     """
     if grid < 32:
         raise ValueError("grid must be >= 32")
@@ -218,9 +214,6 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     parametrization stays below 1024 (1 + 1e-9), and at every sampled
     (c1, gamma, eta) the majorant H(c1, |gamma|, |eta|) + 1e-9 dominates
     |P| + |Q|, the largest |P + Q rho| over the closed rho disk.
-
-    A failed exact step reports ``failure: certification``; only a float
-    check reports ``failure: oracle``.
     """
     if grid < 4:  # the smallest grid whose oracle reaches 10^4 samples
         raise ValueError("grid must be >= 4")
@@ -273,9 +266,16 @@ class A4Search(NamedTuple):
     c1: float               # witness Schwarz data
     gamma: complex
     eta: complex
-    family_t: float         # maximizer of the closed-form family
-    family_value: float
     samples: int
+
+    @property
+    def family_t(self) -> float:
+        # the maximizer of a4_family: 1 - (31/8) t^2 vanishes there
+        return math.sqrt(8 / 31)
+
+    @property
+    def family_value(self) -> float:
+        return a4_family(self.family_t)
 
 
 def _a4_samples(grid: int, refine: int) -> int:
@@ -299,8 +299,4 @@ def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
     _within_budget(_a4_samples(grid, refine))
     from . import oracles
     (val, c1b, gb, eb), samples = oracles._a4_search(grid, refine)
-    # the family peaks where its derivative 1 - (31/8) t^2 vanishes
-    t_star = math.sqrt(8 / 31)
-    return A4Search(value=val, c1=c1b, gamma=gb, eta=eb,
-                    family_t=t_star, family_value=a4_family(t_star),
-                    samples=samples)
+    return A4Search(val, c1b, gb, eb, samples)

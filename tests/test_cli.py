@@ -6,13 +6,17 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from starcert import bernstein
-from starcert.bernstein import PositivityCertificate
+from starcert import bernstein, oracles, verify
+from starcert.bernstein import UNIT_BOX, PositivityCertificate
 from starcert.cli import _build_parser, _read_schwarz, main
+from starcert.gft import ma_minda_scan
+from starcert.poly import parse_poly_text
+from starcert.verify import VerificationReport
 
 POLY_TEXT = "bidegree 2 2\n2 0 3\n1 1 -2\n0 2 3\n0 0 1/50\n"
 
@@ -123,6 +127,18 @@ def test_scan_phi(capsys):
     assert out.count("pass") == 6 and "FAIL" not in out
 
 
+def test_scan_phi_failed_check_exits_3(capsys, monkeypatch):
+    # the circle's samples raised by 1: the minimum 2 still passes, the
+    # tangency check does not
+    real = oracles._boundary_distance
+    monkeypatch.setattr(oracles, "_boundary_distance", lambda t: real(t) + 1)
+    assert ma_minda_scan(16).passed is False
+    code, out, _ = run(capsys, "scan-phi", "--grid", "16")
+    assert code == 3
+    assert out.count("  pass  ") == 5 and out.count("  FAIL  ") == 1
+    assert "  FAIL  tangency_at_0_and_pi" in out
+
+
 BLAS_PROBE = r"""
 import os, sys
 from starcert.cli import main
@@ -195,13 +211,36 @@ def test_verify_h2_json(tmp_path, capsys):
     assert doc["bound"] == "1/4" and doc["status"] == "verified"
 
 
+@pytest.mark.parametrize("command", ["verify-h2", "certify-h3"])
+@pytest.mark.parametrize("failure, status, exit_code", [
+    (None, "verified", 0), ("certification", "failed", 2), ("oracle", "failed", 3)])
+def test_one_failure_kind_gives_status_json_and_exit_code(
+        tmp_path, capsys, monkeypatch, command, failure, status, exit_code):
+    cert = bernstein.certify_positive(parse_poly_text(POLY_TEXT), UNIT_BOX, 3)
+    report = VerificationReport("a claim", Fraction(1, 4),
+                                {"oracle_max": 0.5, "failure": failure}, cert)
+    monkeypatch.setattr(verify, "verify_h2", lambda grid: report)
+    monkeypatch.setattr(verify, "verify_h3", lambda grid: report)
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, command, "--json", str(path))
+    lines = out.splitlines()
+    assert f"status: {status}" in lines and f"  failure: {failure}" in lines
+    doc = json.loads(path.read_text())
+    assert doc["status"] == status and doc["details"]["failure"] == failure
+    assert code == exit_code
+
+
 def test_certify_h3_writes_certificate(tmp_path, capsys):
-    cert_path = tmp_path / "cert.json"
-    code, out, _ = run(capsys, "certify-h3", "--out", str(cert_path))
+    cert_path, json_path = tmp_path / "cert.json", tmp_path / "report.json"
+    code, out, _ = run(capsys, "certify-h3", "--out", str(cert_path),
+                       "--json", str(json_path))
     assert code == 0
     assert "leaves by status" in out
     cert = PositivityCertificate.from_json(cert_path.read_text())
     assert len(cert.leaves()) == 10
+    doc = json.loads(json_path.read_text())
+    assert doc["artifacts"] == [str(cert_path)]
+    assert doc["details"]["certificate_leaves"] == 10
 
 
 def test_max_a4(capsys):

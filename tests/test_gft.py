@@ -317,6 +317,13 @@ def test_janowski_tests_always_agree():
         assert rep.agree
 
 
+def test_scan_and_disk_reports_derive_their_verdicts():
+    assert "agree" not in gft.DiskReport._fields
+    assert "passed" not in gft.PhiScanReport._fields
+    _, rep = janowski_check(JanowskiParams(F(1, 2), F(-1, 4)))
+    assert rep._replace(disk_test=False).agree is False
+
+
 def test_janowski_accepts_floats_consistently():
     ok_f, rep_f = janowski_check(JanowskiParams(0.5, -0.25))
     ok_q, rep_q = janowski_check(JanowskiParams(F(1, 2), F(-1, 4)))

@@ -91,11 +91,13 @@ def test_verify_h3_certificate_bytes_match_the_reference(h3_report):
 
 def test_report_json_schema(h2_report):
     doc = h2_report.to_json_doc()
-    assert set(doc) == {"claim", "bound", "status", "artifacts"}
+    assert set(doc) == {"claim", "bound", "status", "artifacts", "details"}
     assert doc["bound"] == "1/4"
     assert doc["status"] == "verified"
-    assert isinstance(doc["artifacts"], list)
-    json.dumps(doc)  # must be serializable as-is
+    assert doc["artifacts"] == []
+    assert doc["details"] == h2_report.details
+    assert doc["details"]["failure"] is None
+    assert json.loads(json.dumps(doc)) == doc  # JSON-native as it is
 
 
 def test_report_render_mentions_bound(h2_report):
@@ -104,8 +106,19 @@ def test_report_render_mentions_bound(h2_report):
 
 
 def test_report_failed_status_flag():
-    rep = VerificationReport(claim="x", bound=F(1, 2), status="failed")
-    assert not rep.verified
+    for failure, status in ((None, "verified"), ("certification", "failed"),
+                            ("oracle", "failed")):
+        rep = VerificationReport(claim="x", bound=F(1, 2), details={"failure": failure})
+        assert rep.status == rep.to_json_doc()["status"] == status
+        assert rep.verified is (failure is None)
+        with pytest.raises(AttributeError):
+            rep.status = "verified"
+
+
+def test_records_store_no_restated_field():
+    # the verdict is stored once, in details; the family values are constants
+    assert VerificationReport._fields == ("claim", "bound", "details", "certificate")
+    assert verify.A4Search._fields == ("value", "c1", "gamma", "eta", "samples")
 
 
 def test_a4_family_values():

@@ -44,6 +44,7 @@ POLY = "src/starcert/poly.py"
 VERIFY = "src/starcert/verify.py"
 GFT = "src/starcert/gft.py"
 ORACLES = "src/starcert/oracles.py"
+CLI = "src/starcert/cli.py"
 SELF_TEST = "tests/test_mutants.py"
 
 
@@ -174,6 +175,18 @@ MUTANTS = [
            "signs_ok and step_ok and witness", "signs_ok and witness"),
     Mutant("h2-sharpness", VERIFY,
            " and witness == Fraction(-1, 4)", ""),
+    # each verdict is stored once and read through one rule: the exit
+    # codes of the two failure kinds swapped, a status read as "verified"
+    # for a certification failure, and a scan that passes when any one of
+    # its checks does
+    Mutant("report-exit-swapped", CLI,
+           '"certification": CERT_EXIT, "oracle": ORACLE_EXIT}',
+           '"certification": ORACLE_EXIT, "oracle": CERT_EXIT}'),
+    Mutant("report-status-oracle-only", VERIFY,
+           'return "verified" if self.details["failure"] is None else "failed"',
+           'return "failed" if self.details["failure"] == "oracle" else "verified"'),
+    Mutant("phi-scan-any", GFT,
+           "return all(self.checks.values())", "return any(self.checks.values())"),
     # the Y(A, B, C) lemma
     Mutant("y-max-r-edge", GFT,
            'return aA + aB - aC, "R.edge"', 'return aA + aB + aC, "R.edge"'),
