@@ -31,7 +31,7 @@ __all__ = [
     "schwarz_to_coeffs", "lz_parametrize", "schwarz_parametrize",
     "hankel2", "hankel3", "h3_schwarz_poly",
     "y_max", "y_max_detail", "YMaxDetail",
-    "JanowskiParams", "DiskReport", "janowski_check",
+    "JanowskiParams", "janowski_check",
     "PhiScanReport", "ma_minda_scan",
     "h2_terms", "h2_envelope",
 ]
@@ -238,71 +238,64 @@ def y_max(A, B, C) -> float:
 # ---------------------------------------------------------------------------
 
 class JanowskiParams:
-    """Parameters of (1 + Az)/(1 + Bz) with -1 < B < A <= 1, kept exact."""
+    """Parameters of (1 + Az)/(1 + Bz) with -1 < B < A <= 1, kept exact.
 
-    __slots__ = ("A", "B")
+    A and B are read-only views of the one slot the constructor fills
+    after its range check; the image disk of the unit circle and both
+    inclusion tests are read from them."""
+
+    __slots__ = ("_AB",)
 
     def __init__(self, A, B):
         # floats are converted to their exact binary rational so that the
         # two equivalent tests below can never disagree by rounding
         to_frac = lambda v: Fraction(v) if isinstance(v, float) else as_fraction(v)
-        self.A, self.B = to_frac(A), to_frac(B)
-        if not (-1 < self.B < self.A <= 1):
-            raise ValueError(f"need -1 < B < A <= 1, got A={self.A}, B={self.B}")
+        A, B = to_frac(A), to_frac(B)
+        if not (-1 < B < A <= 1):
+            raise ValueError(f"need -1 < B < A <= 1, got A={A}, B={B}")
+        self._AB = (A, B)
 
-    @property
-    def center(self) -> Fraction:
-        """Center (1 - AB)/(1 - B^2) of the image disk of the unit circle."""
-        return (1 - self.A * self.B) / (1 - self.B * self.B)
-
-    @property
-    def radius(self) -> Fraction:
-        """Radius (A - B)/(1 - B^2) of the image disk."""
-        return (self.A - self.B) / (1 - self.B * self.B)
-
-
-class DiskReport(NamedTuple):
-    center: Fraction
-    radius: Fraction
-    inner_value: Fraction           # center - radius = (1 - A)/(1 - B)
-    outer_value: Fraction           # center + radius = (1 + A)/(1 + B)
-    interval_test: bool             # 1/4 <= inner and outer <= 9/4
-    disk_test: bool                 # |center - 5/4| + radius <= 1
-
-    @property
-    def agree(self) -> bool:
-        return self.interval_test == self.disk_test
+    A = property(lambda self: self._AB[0])
+    B = property(lambda self: self._AB[1])
+    # the image disk: center (1 - AB)/(1 - B^2), radius (A - B)/(1 - B^2),
+    # and its ends on the real axis, (1 - A)/(1 - B) and (1 + A)/(1 + B)
+    center = property(lambda self: (1 - self.A * self.B) / (1 - self.B * self.B))
+    radius = property(lambda self: (self.A - self.B) / (1 - self.B * self.B))
+    inner_value = property(lambda self: self.center - self.radius)
+    outer_value = property(lambda self: self.center + self.radius)
+    interval_test = property(lambda self: self.inner_value >= Fraction(1, 4)
+                             and self.outer_value <= Fraction(9, 4))
+    disk_test = property(lambda self: abs(self.center - Fraction(5, 4)) + self.radius <= 1)
+    agree = property(lambda self: self.interval_test == self.disk_test)
 
 
-def janowski_check(j: JanowskiParams) -> tuple[bool, DiskReport]:
+def janowski_check(j: JanowskiParams) -> tuple[bool, JanowskiParams]:
     """Does (1 + Az)/(1 + Bz) map the disk into the region between 1/4 and 9/4?
 
     Checks the endpoint inequalities (1-A)/(1-B) >= 1/4 and
     (1+A)/(1+B) <= 9/4, and independently the single disk inclusion
     |center - 5/4| + radius <= 1.  The two are algebraically equivalent,
     and with exact rational arithmetic they must agree verbatim.
+    Returns the interval test's verdict and ``j``, which reads both.
 
     Floats are accepted (converted exactly to their binary rational), so
     the two routes still agree bit-for-bit.
     """
-    a, r = j.center, j.radius
-    inner = a - r
-    outer = a + r
-    interval_test = inner >= Fraction(1, 4) and outer <= Fraction(9, 4)
-    disk_test = abs(a - Fraction(5, 4)) + r <= 1
-    report = DiskReport(a, r, inner, outer, interval_test, disk_test)
-    if not report.agree:  # pragma: no cover - the two tests are algebraically equal
+    if not j.agree:  # pragma: no cover - the two tests are algebraically equal
         raise AssertionError("interval and disk tests disagree on exact input")
-    return interval_test, report
+    return j.interval_test, j
 
 
 # ---------------------------------------------------------------------------
 # scans of the target phi(z) = (1 + z/2)^2
 # ---------------------------------------------------------------------------
 
+# the radius of the polar grid ma_minda_scan lays over the disk
+_PHI_SCAN_RADIUS = 1 - 1e-6
+
+
 class PhiScanReport(NamedTuple):
     grid_density: int
-    radius_cap: float
     min_modulus: float
     max_modulus: float
     min_real: float
@@ -312,7 +305,21 @@ class PhiScanReport(NamedTuple):
     boundary_at_0: float
     boundary_at_pi: float
     samples: int                   # points where the scan evaluated phi
-    checks: dict
+
+    radius_cap = property(lambda self: _PHI_SCAN_RADIUS)
+
+    @property
+    def checks(self) -> dict:
+        """The six verdicts, read from the measured values."""
+        return {
+            "modulus_above_quarter": self.min_modulus > 0.25,
+            "modulus_below_nine_quarters": self.max_modulus < 2.25,
+            "real_part_positive": self.min_real > 0.0,
+            "starlike_ratio_below_fifth": self.max_starlike_ratio < 0.2,
+            "boundary_distance_at_least_one": self.boundary_min >= 1 - 1e-10,
+            "tangency_at_0_and_pi": (abs(self.boundary_at_0 - 1) <= 1e-10
+                                     and abs(self.boundary_at_pi - 1) <= 1e-10),
+        }
 
     @property
     def passed(self) -> bool:
@@ -322,10 +329,6 @@ class PhiScanReport(NamedTuple):
 def _phi_scan_samples(grid_density: int, boundary_points: int) -> int:
     """Samples :func:`ma_minda_scan` takes: the polar grid, then the circle."""
     return grid_density * 4 * grid_density + boundary_points
-
-
-# the radius of the polar grid ma_minda_scan lays over the disk
-_PHI_SCAN_RADIUS = 1 - 1e-6
 
 
 def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
@@ -345,30 +348,9 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
     npts += npts % 2  # keep t = pi on the grid
     _within_budget(_phi_scan_samples(grid_density, npts))
     from . import oracles
-    (mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0, atpi,
-     samples) = oracles._phi_scan(grid_density, _PHI_SCAN_RADIUS, npts)
-    checks = {
-        "modulus_above_quarter": mod_min > 0.25,
-        "modulus_below_nine_quarters": mod_max < 2.25,
-        "real_part_positive": min_real > 0.0,
-        "starlike_ratio_below_fifth": max_ratio < 0.2,
-        "boundary_distance_at_least_one": bnd_min >= 1 - 1e-10,
-        "tangency_at_0_and_pi": abs(at0 - 1) <= 1e-10 and abs(atpi - 1) <= 1e-10,
-    }
-    return PhiScanReport(
-        grid_density=grid_density,
-        radius_cap=_PHI_SCAN_RADIUS,
-        min_modulus=mod_min,
-        max_modulus=mod_max,
-        min_real=min_real,
-        max_starlike_ratio=max_ratio,
-        boundary_min=bnd_min,
-        boundary_argmin=t_min,
-        boundary_at_0=at0,
-        boundary_at_pi=atpi,
-        samples=samples,
-        checks=checks,
-    )
+    # the oracle returns the measured values in the report's field order
+    return PhiScanReport(grid_density,
+                         *oracles._phi_scan(grid_density, _PHI_SCAN_RADIUS, npts))
 
 
 # ---------------------------------------------------------------------------

@@ -40,11 +40,13 @@ def radius_g(r) -> Fraction:
 
 
 class RadiusResult(NamedTuple):
-    root: float
     bracket_lo: Fraction
     bracket_hi: Fraction
     iterations: int
     gamma: Fraction
+
+    # the bracket's midpoint, the one float in the result
+    root = property(lambda self: float((self.bracket_lo + self.bracket_hi) / 2))
 
 
 def solve_radius(gamma=0, tol: float = 1e-12) -> RadiusResult:
@@ -72,4 +74,4 @@ def solve_radius(gamma=0, tol: float = 1e-12) -> RadiusResult:
         else:
             hi = mid
         iterations += 1
-    return RadiusResult(float((lo + hi) / 2), lo, hi, iterations, gamma)
+    return RadiusResult(lo, hi, iterations, gamma)

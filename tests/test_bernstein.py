@@ -586,6 +586,15 @@ def test_certify_refuses_depth_above_the_cap():
         certify_positive(f, UNIT_BOX, max_depth=MAX_DEPTH + 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: certify_positive(POSITIVE_POLY, UNIT_BOX, max_depth=-1), "max_depth must be >= 0"),
+    (lambda: bound_above(POSITIVE_POLY, UNIT_BOX, depth=-1), "depth must be >= 0"),
+], ids=["certify-depth", "bound-depth"])
+def test_negative_depths_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_certify_detects_true_negativity():
     f = BiPoly.from_terms([(2, 0, 1), (0, 2, 1), (0, 0, F(-1, 100))])
     cert = certify_positive(f, UNIT_BOX, max_depth=2)

@@ -318,10 +318,17 @@ def test_janowski_tests_always_agree():
 
 
 def test_scan_and_disk_reports_derive_their_verdicts():
-    assert "agree" not in gft.DiskReport._fields
-    assert "passed" not in gft.PhiScanReport._fields
-    _, rep = janowski_check(JanowskiParams(F(1, 2), F(-1, 4)))
-    assert rep._replace(disk_test=False).agree is False
+    # the scan stores what it measured; the disk is read from A and B
+    assert not {"checks", "radius_cap", "passed"} & set(gft.PhiScanReport._fields)
+    assert not hasattr(gft, "DiskReport") and "DiskReport" not in gft.__all__
+    j = JanowskiParams(F(1, 2), F(-1, 4))
+    ok, rep = janowski_check(j)
+    assert ok is True and rep is j
+    assert (rep.inner_value, rep.outer_value) == (F(2, 5), F(2))
+    for name in ("A", "B", "center", "interval_test", "disk_test"):
+        with pytest.raises(AttributeError):
+            setattr(j, name, 0)
+    assert (j.A, j.B) == (F(1, 2), F(-1, 4))
 
 
 def test_janowski_accepts_floats_consistently():
@@ -381,6 +388,27 @@ def test_blocked_scan_splits_rows_longer_than_a_block(monkeypatch):
             rep.boundary_min, rep.boundary_argmin) == ref_phi_scan(90, 8100)
 
 
+@pytest.fixture(scope="module")
+def passing_scan():
+    rep = ma_minda_scan(grid_density=16)
+    assert rep.passed and rep.radius_cap == 1 - 1e-6
+    return rep
+
+
+@pytest.mark.parametrize("field, bound, check", [
+    ("min_modulus", 0.25, "modulus_above_quarter"),
+    ("max_modulus", 2.25, "modulus_below_nine_quarters"),
+    ("min_real", 0.0, "real_part_positive"),
+    ("max_starlike_ratio", 0.2, "starlike_ratio_below_fifth"),
+    ("boundary_min", 1 - 2e-10, "boundary_distance_at_least_one"),
+    ("boundary_at_pi", 1 + 2e-10, "tangency_at_0_and_pi"),
+])
+def test_each_scan_check_fails_at_its_bound(passing_scan, field, bound, check):
+    rep = passing_scan._replace(**{field: bound})
+    assert [name for name, ok in rep.checks.items() if not ok] == [check]
+    assert rep.passed is False
+
+
 @pytest.mark.parametrize("angle", [0.0, math.pi])
 def test_tangency_is_read_from_the_scan(monkeypatch, angle):
     # raise the boundary samples near one tangency point: the minimum
@@ -433,6 +461,12 @@ def test_h2_capped_slice_dominates_the_grouped_bound():
     x = BiPoly.var_x()
     M = -A + B * x - C * x * x + D * (1 - x * x)
     assert x * x * g1 + (1 - x * x) * g0 - M == B * (1 - x)
+
+
+@pytest.mark.parametrize("p1", [3, F(-1, 2)])
+def test_h2_terms_refuses_p1_outside_its_range(p1):
+    with pytest.raises(ValueError, match=r"p1 must lie in \[0, 2\]"):
+        h2_terms(p1)
 
 
 def test_h2_envelope_boundaries_and_slope():

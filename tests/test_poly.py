@@ -180,6 +180,23 @@ def test_constructors_keep_their_input_rules():
         f ** -1
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: BiPoly([]), "at least 1x1"),
+    (lambda: BiPoly([[]]), "at least 1x1"),
+    (lambda: BiPoly([[1, 2], [3]]), "equal length"),
+    (lambda: BiPoly.from_terms([(2, 0, 1)], bidegree=(1, 1)), "exceed declared bidegree"),
+    (lambda: BiPoly.from_terms([(0, 2, 1)], bidegree=(2, 1)), "exceed declared bidegree"),
+    (lambda: BiPoly.from_terms([(0, 0, 1), (-1, 1, 2)]), "nonnegative"),
+    (lambda: BiPoly.from_terms([(0, -1, 1)]), "nonnegative"),
+    (lambda: parse_poly_text("bidegree 1 1\n1 0 1\n0 1 2\n1 0 3\n"),
+     r"line 4: duplicate term for \(1, 0\)"),
+], ids=["empty", "empty-row", "ragged", "beyond-p-degree", "beyond-x-degree",
+        "negative-p-exponent", "negative-x-exponent", "parsed-duplicate"])
+def test_malformed_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # the reduction against the reference polynomial files
 # ---------------------------------------------------------------------------

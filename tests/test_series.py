@@ -86,3 +86,14 @@ def test_orders_above_the_cap_are_refused():
                   lambda: member_from_schwarz(w, MAX_ORDER + 1)):
         with pytest.raises(ValueError, match=f"order must be at most {MAX_ORDER}"):
             build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: schwarz_monomial(0), "need k >= 1"),
+    (lambda: TruncSeries([]), "at least the constant coefficient"),
+    (lambda: TruncSeries.from_coeffs([1], order=-1), "order must be >= 0"),
+    (lambda: member_from_schwarz(schwarz_monomial(1, 4), order=0), "order must be >= 1"),
+], ids=["monomial-k0", "no-coefficients", "negative-order", "member-order-0"])
+def test_malformed_input_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starcert import bernstein, gft, oracles, reduction as reduction_module, verify
+from starcert import (bernstein, gft, oracles, radius, reduction as reduction_module,
+                      verify)
 from starcert.cli import main
 from starcert.poly import BiPoly
 from starcert.verify import (VerificationReport, a4_family, max_a4, verify_h2,
@@ -116,9 +117,17 @@ def test_report_failed_status_flag():
 
 
 def test_records_store_no_restated_field():
-    # the verdict is stored once, in details; the family values are constants
+    # the verdict is stored once, in details; the family values are constants;
+    # the scan's checks and cap, and the radius midpoint, are read, not stored
     assert VerificationReport._fields == ("claim", "bound", "details", "certificate")
     assert verify.A4Search._fields == ("value", "c1", "gamma", "eta", "samples")
+    assert gft.PhiScanReport._fields == (
+        "grid_density", "min_modulus", "max_modulus", "min_real",
+        "max_starlike_ratio", "boundary_min", "boundary_argmin",
+        "boundary_at_0", "boundary_at_pi", "samples")
+    assert radius.RadiusResult._fields == ("bracket_lo", "bracket_hi", "iterations", "gamma")
+    res = radius.solve_radius(0, 1e-3)
+    assert res.root == float((res.bracket_lo + res.bracket_hi) / 2)
 
 
 def test_a4_family_values():

@@ -187,6 +187,17 @@ MUTANTS = [
            'return "failed" if self.details["failure"] == "oracle" else "verified"'),
     Mutant("phi-scan-any", GFT,
            "return all(self.checks.values())", "return any(self.checks.values())"),
+    # the scan's checks and the Janowski disk test, each read from the
+    # measured or given values: a bound let through, the tangency at
+    # either point enough, and the disk's radius subtracted
+    Mutant("phi-scan-modulus-bound", GFT,
+           "self.min_modulus > 0.25", "self.min_modulus >= 0.25"),
+    Mutant("phi-scan-ratio-bound", GFT,
+           "self.max_starlike_ratio < 0.2", "self.max_starlike_ratio <= 0.2"),
+    Mutant("phi-scan-tangency-or", GFT,
+           "and abs(self.boundary_at_pi", "or abs(self.boundary_at_pi"),
+    Mutant("janowski-disk-radius", GFT,
+           "Fraction(5, 4)) + self.radius", "Fraction(5, 4)) - self.radius"),
     # the Y(A, B, C) lemma
     Mutant("y-max-r-edge", GFT,
            'return aA + aB - aC, "R.edge"', 'return aA + aB + aC, "R.edge"'),
