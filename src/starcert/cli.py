@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,29 +339,11 @@ def _build_parser() -> _Parser:
     return p
 
 
-@contextmanager
-def _one_blas_thread():
-    """No subcommand calls BLAS, but OpenBLAS starts a worker pool when
-    numpy loads, and its idle workers spin.  OpenBLAS reads
-    OPENBLAS_NUM_THREADS once, as numpy loads, so the variable is set to 1
-    only while a subcommand may load numpy for the first time, and only if
-    the user has not set it; the environment is restored afterwards."""
-    if "numpy" in sys.modules or "OPENBLAS_NUM_THREADS" in os.environ:
-        yield
-        return
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("OPENBLAS_NUM_THREADS", None)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with _one_blas_thread():
-            code = args.func(args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except ValueError as exc:

@@ -326,11 +326,6 @@ class PhiScanReport(NamedTuple):
         return all(self.checks.values())
 
 
-def _phi_scan_samples(grid_density: int, boundary_points: int) -> int:
-    """Samples :func:`ma_minda_scan` takes: the polar grid, then the circle."""
-    return grid_density * 4 * grid_density + boundary_points
-
-
 def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
     """Numeric scan of the analytic properties the target function needs.
 
@@ -346,11 +341,12 @@ def ma_minda_scan(grid_density: int = 64) -> PhiScanReport:
         raise ValueError("grid_density must be >= 8")
     npts = grid_density * grid_density
     npts += npts % 2  # keep t = pi on the grid
-    _within_budget(_phi_scan_samples(grid_density, npts))
+    sizes = (grid_density, 4 * grid_density)  # radii, angles
+    _within_budget(math.prod(sizes) + npts)
     from . import oracles
     # the oracle returns the measured values in the report's field order
     return PhiScanReport(grid_density,
-                         *oracles._phi_scan(grid_density, _PHI_SCAN_RADIUS, npts))
+                         *oracles._phi_scan(sizes, _PHI_SCAN_RADIUS, npts))
 
 
 # ---------------------------------------------------------------------------

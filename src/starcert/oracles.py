@@ -3,8 +3,11 @@
 The only starcert module that imports numpy, and it imports nothing from
 starcert: each kernel re-derives its formula, so a bug would have to appear
 in two unrelated routes to go unnoticed.  Its callers (``verify_h2``,
-``verify_h3``, ``max_a4`` and ``gft.ma_minda_scan``) check their sample
-budget before they import it, and judge what it measures.
+``verify_h3``, ``max_a4`` and ``gft.ma_minda_scan``) write each grid's
+sizes, check their product against the sample budget before they import
+it, pass the same sizes, and judge what it measures.  A grid's sizes are
+its numbers of values along each axis, in order: c1 or p1 if the grid
+has one, then the radii and angles of each polar disk.
 
 Every scan evaluates its grid in blocks of at most ``_BLOCK_SAMPLES``
 samples, cut by ``_blocks``, and holds only its one-dimensional axes
@@ -14,8 +17,20 @@ changes no sample, no sample count and no maximum.
 from __future__ import annotations
 
 import math
+import os
 
-import numpy as np
+# No oracle calls BLAS, but OpenBLAS starts a worker pool as numpy loads,
+# and its idle workers spin.  OpenBLAS reads OPENBLAS_NUM_THREADS once, as
+# numpy loads, so it is 1 for the import unless the user set it, and the
+# environment is left as it was found.
+_BLAS_UNSET = "OPENBLAS_NUM_THREADS" not in os.environ
+if _BLAS_UNSET:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    import numpy as np
+finally:
+    if _BLAS_UNSET:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 # The one block rule: no numpy temporary spans more than this many
 # samples, whatever the grid, so memory stays flat in the grid.  A complex
@@ -44,18 +59,19 @@ def _polar_grid(n_radii: int, n_angles: int):
     return (r[:, None] * np.exp(1j * t)[None, :]).ravel()
 
 
-def _h2_scan(grid: int) -> tuple[float, int]:
+def _h2_scan(sizes: tuple) -> tuple[float, int]:
     """Max of |A + B gamma + C gamma^2 + D (1 - |gamma|^2)| over p1 in [0, 2]
-    and gamma, eta in the closed disk (D carries eta), and the sample count.
-    Per p1, the (gamma, eta) slice runs in blocks of gamma."""
-    gam = _polar_grid(grid // 3 + 1, grid)
-    eta = _polar_grid(3, 16)
+    and gamma, eta in the closed disk (D carries eta), and the sample count,
+    on the (p1, gamma, eta) grid of those sizes.  Per p1, the (gamma, eta)
+    slice runs in blocks of gamma."""
+    gam = _polar_grid(*sizes[1:3])
+    eta = _polar_grid(*sizes[3:])
     one_minus_g2 = (1 - np.abs(gam) ** 2)[:, None]
     gcol = gam[:, None]
     erow = eta[None, :]
     observed = 0.0
     samples = 0
-    for p1 in np.linspace(0.0, 2.0, grid):
+    for p1 in np.linspace(0.0, 2.0, sizes[0]):
         s = 4 - p1 * p1
         a = -19 * p1 ** 4 / 3072
         b = p1 * p1 * s / 384
@@ -90,27 +106,29 @@ def _h3_param(c1, gam, eta, rho):
     return val
 
 
-def _h3_rings(grid: int) -> tuple:
+def _h3_rings(sizes: tuple) -> tuple:
     """c1, |gamma| and |eta| on _h3_scan's rings, to broadcast together."""
-    return (np.linspace(0.0, 1.0, grid + 1)[:, None, None],
-            np.linspace(0.0, 1.0, grid // 2 + 1)[:, None], np.linspace(0.0, 1.0, 3))
+    return (np.linspace(0.0, 1.0, sizes[0])[:, None, None],
+            np.linspace(0.0, 1.0, sizes[1])[:, None], np.linspace(0.0, 1.0, sizes[3]))
 
 
-def _h3_scan(grid: int, maj) -> tuple[float, int, bool]:
-    """Max of |h3| over the (c1, gamma, eta, rho) grid, the sample count, and
-    whether |P| + |Q| <= maj + 1e-9 at each (c1, gamma, eta), maj the
-    majorant on _h3_rings.  The value is affine in rho: per c1 and block of
-    (gamma, eta), P at rho = 0 and Q = (value at rho = 1) - P give
-    |P + Q rho| at every rho, peaking at |P| + |Q| over the closed disk."""
-    c1s = np.linspace(0.0, 1.0, grid + 1)
-    gam = _polar_grid(grid // 2 + 1, 2 * grid)
-    eta = _polar_grid(3, grid)
-    rho = _polar_grid(2, 8)
+def _h3_scan(sizes: tuple, maj) -> tuple[float, int, bool]:
+    """Max of |h3| over the (c1, gamma, eta, rho) grid of those sizes, the
+    sample count, and whether |P| + |Q| <= maj + 1e-9 at each
+    (c1, gamma, eta), maj the majorant on _h3_rings.  The value is affine in
+    rho: per c1 and block of (gamma, eta), P at rho = 0 and
+    Q = (value at rho = 1) - P give |P + Q rho| at every rho, peaking at
+    |P| + |Q| over the closed disk."""
+    gamma_angles, eta_angles = sizes[2], sizes[4]
+    c1s = np.linspace(0.0, 1.0, sizes[0])
+    gam = _polar_grid(*sizes[1:3])
+    eta = _polar_grid(*sizes[3:5])
+    rho = _polar_grid(*sizes[5:])
     ec = eta[None, :]
     rc = rho[None, None, :]
     # _polar_grid lists its points ring by ring, so point k of gam is on
-    # ring k // (2 grid), of eta on ring k // grid
-    eta_ring = np.arange(eta.size) // grid
+    # ring k // gamma_angles, of eta on ring k // eta_angles
+    eta_ring = np.arange(eta.size) // eta_angles
     observed = 0.0
     samples = 0
     dominated = True
@@ -119,7 +137,7 @@ def _h3_scan(grid: int, maj) -> tuple[float, int, bool]:
             gc = gam[g, None]
             p = _h3_param(c1, gc, ec, 0.0)
             q = _h3_param(c1, gc, ec, 1.0) - p
-            gam_ring = np.arange(g.start, g.start + len(gc))[:, None] // (2 * grid)
+            gam_ring = np.arange(g.start, g.start + len(gc))[:, None] // gamma_angles
             dominated &= bool(np.all(np.abs(p) + np.abs(q)
                                      <= maj_c1[gam_ring, eta_ring] + 1e-9))
             p, q = p[:, :, None], q[:, :, None]
@@ -166,28 +184,25 @@ def _a4_first_max(best: tuple, c1s, gam, eta) -> tuple[tuple, int]:
     return best, samples
 
 
-def _a4_coarse(grid: int) -> tuple[tuple, int]:
-    """The coarse polar scan of max_a4: its incumbent (value, c1, gamma,
-    eta) and sample count."""
-    return _a4_first_max((-1.0, 0.0, 0.0 + 0j, 0.0 + 0j),
-                         np.linspace(0.0, 1.0, grid + 1),
-                         _polar_grid(grid // 3 + 1, 2 * grid), _polar_grid(3, 8))
-
-
-def _a4_search(grid: int, refine: int) -> tuple[tuple, int]:
-    """The coarse scan's incumbent, refined ``refine`` times in a shrinking
-    window around it: ((value, c1, gamma, eta), sample count)."""
-    best, samples = _a4_coarse(grid)
-    w_c, w_r, w_t = 1.5 / grid, 0.4, 0.4
+def _a4_search(coarse: tuple, window: tuple, refine: int) -> tuple[tuple, int]:
+    """The incumbent of the coarse (c1, gamma, eta) scan of those sizes,
+    refined ``refine`` times on a shrinking window grid of the window sizes
+    around it: ((value, c1, gamma, eta), sample count).  The c1 window
+    reaches 1.5 coarse c1 steps to each side at first."""
+    best, samples = _a4_first_max((-1.0, 0.0, 0.0 + 0j, 0.0 + 0j),
+                                  np.linspace(0.0, 1.0, coarse[0]),
+                                  _polar_grid(*coarse[1:3]), _polar_grid(*coarse[3:]))
+    n_c1, g_radii, g_angles, e_radii, e_angles = window
+    w_c, w_r, w_t = 1.5 / (coarse[0] - 1), 0.4, 0.4
     for _ in range(refine):
         _, c1b, gb, eb = best
         rb, tb = abs(gb), math.atan2(gb.imag, gb.real)
         re_, te = abs(eb), math.atan2(eb.imag, eb.real)
-        c1_loc = np.clip(np.linspace(c1b - w_c, c1b + w_c, 9), 0.0, 1.0)
-        g_loc = (np.clip(np.linspace(rb - w_r, rb + w_r, 9), 0.0, 1.0)[:, None]
-                 * np.exp(1j * np.linspace(tb - w_t, tb + w_t, 9))[None, :]).ravel()
-        e_loc = (np.clip(np.linspace(re_ - w_r, re_ + w_r, 5), 0.0, 1.0)[:, None]
-                 * np.exp(1j * np.linspace(te - w_t, te + w_t, 5))[None, :]).ravel()
+        c1_loc = np.clip(np.linspace(c1b - w_c, c1b + w_c, n_c1), 0.0, 1.0)
+        g_loc = (np.clip(np.linspace(rb - w_r, rb + w_r, g_radii), 0.0, 1.0)[:, None]
+                 * np.exp(1j * np.linspace(tb - w_t, tb + w_t, g_angles))[None, :]).ravel()
+        e_loc = (np.clip(np.linspace(re_ - w_r, re_ + w_r, e_radii), 0.0, 1.0)[:, None]
+                 * np.exp(1j * np.linspace(te - w_t, te + w_t, e_angles))[None, :]).ravel()
         best, n = _a4_first_max(best, c1_loc, g_loc, e_loc)
         samples += n
         w_c *= 0.65
@@ -206,8 +221,8 @@ def _boundary_distance(t):
     return np.abs(_phi(np.exp(1j * t)) - 1.25) ** 2
 
 
-def _phi_scan(grid_density: int, radius: float, npts: int) -> tuple:
-    """On a grid_density x 4 grid_density polar grid of the disk of that
+def _phi_scan(sizes: tuple, radius: float, npts: int) -> tuple:
+    """On the polar grid of those sizes (radii, angles) of the disk of that
     radius: min and max of |phi|, min of Re phi, max of |z/(8 + 3z)|.  On
     npts (even) angles t_k = k 2 pi / npts: the min of _boundary_distance,
     its angle (the first, as np.argmin picks), and its values at t = 0 and
@@ -215,9 +230,8 @@ def _phi_scan(grid_density: int, radius: float, npts: int) -> tuple:
     grid's points and the angles.  The disk grid runs in blocks of
     whole rows, or of one row in pieces when a row is longer than a block;
     the angles in blocks of consecutive k."""
-    radii = np.linspace(0.0, radius, grid_density)
-    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, 4 * grid_density,
-                                     endpoint=False))
+    radii = np.linspace(0.0, radius, sizes[0])
+    circle = np.exp(1j * np.linspace(0.0, 2 * math.pi, sizes[1], endpoint=False))
     mod_min, mod_max, min_real, max_ratio = math.inf, -math.inf, math.inf, -math.inf
     samples = 0
     # whole rows while a row fits in a block, else a row in pieces

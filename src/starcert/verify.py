@@ -5,7 +5,8 @@ Bernstein certificates) with an *independent float oracle* (dense numeric
 sampling of the quantity the chain is supposed to bound).  The oracles live
 in :mod:`starcert.oracles`, which imports numpy and no starcert code, so a
 bug would have to appear in two unrelated routes to go unnoticed.  Each
-pipeline counts its samples against the budget before it imports them, and
+pipeline writes its oracle's grid sizes once, checks their product against
+the budget before it imports the oracles, passes them the same sizes, and
 judges what they measured; this module imports no numpy.
 
 Pipelines
@@ -132,11 +133,6 @@ def _capped_slice(groups: tuple, e1: BiPoly, e0: BiPoly, box: Box, target,
 # |H2(2)| <= 1/4
 # ---------------------------------------------------------------------------
 
-def _h2_samples(grid: int) -> int:
-    """Samples of the verify_h2 oracle: p1 x gamma x eta grids."""
-    return grid * (grid // 3 + 1) * grid * 3 * 16
-
-
 def verify_h2(grid: int = 32) -> VerificationReport:
     """Certify |H2(2)| <= 1/4 on the class and cross-check numerically.
 
@@ -157,7 +153,9 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     """
     if grid < 32:
         raise ValueError("grid must be >= 32")
-    _within_budget(_h2_samples(grid))
+    # p1 values; gamma radii and angles; eta radii and angles
+    sizes = (grid, grid // 3 + 1, grid, 3, 16)
+    _within_budget(math.prod(sizes))
     from . import oracles
     details: dict = {}
 
@@ -175,7 +173,7 @@ def verify_h2(grid: int = 32) -> VerificationReport:
     exact = signs_ok and step_ok and witness == Fraction(-1, 4)
 
     # --- float oracle ----------------------------------------------------
-    observed, samples = oracles._h2_scan(grid)
+    observed, samples = oracles._h2_scan(sizes)
     details["oracle_samples"] = samples
     details["oracle_max"] = observed
     floats = samples >= 10 ** 5 and observed <= 0.25 + 1e-9
@@ -189,11 +187,6 @@ def verify_h2(grid: int = 32) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # |H3(1)| <= 1/9
 # ---------------------------------------------------------------------------
-
-def _h3_samples(grid: int) -> int:
-    """Samples of the verify_h3 grid oracle: c1 x gamma x eta x rho grids."""
-    return (grid + 1) * (grid // 2 + 1) * 2 * grid * 3 * grid * 2 * 8
-
 
 def verify_h3(grid: int = 12) -> VerificationReport:
     """Certify |H3(1)| <= 1/9 and cross-check numerically.
@@ -217,7 +210,9 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     """
     if grid < 4:  # the smallest grid whose oracle reaches 10^4 samples
         raise ValueError("grid must be >= 4")
-    _within_budget(_h3_samples(grid))
+    # c1 values; gamma, eta and rho radii and angles
+    sizes = (grid + 1, grid // 2 + 1, 2 * grid, 3, grid, 2, 8)
+    _within_budget(math.prod(sizes))
     from . import oracles
     red = build_h3_reduction()
     details: dict = {}
@@ -238,7 +233,7 @@ def verify_h3(grid: int = 12) -> VerificationReport:
     # H is evaluated here, on the grid's rings: the oracle calls no
     # certified code
     observed, samples, dominated = oracles._h3_scan(
-        grid, red.majorant(*oracles._h3_rings(grid)))
+        sizes, red.majorant(*oracles._h3_rings(sizes)))
     details["oracle_samples"] = samples
     details["oracle_max_scaled"] = observed
     details["majorant_dominates_samples"] = dominated
@@ -278,11 +273,6 @@ class A4Search(NamedTuple):
         return a4_family(self.family_t)
 
 
-def _a4_samples(grid: int, refine: int) -> int:
-    """Samples of max_a4: coarse c1 x gamma x eta scan, then refinements."""
-    return (grid + 1) * (grid // 3 + 1) * 2 * grid * 3 * 8 + refine * 9 * 81 * 25
-
-
 def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
     """Maximize |a4| over the Schwarz coefficient body.
 
@@ -296,7 +286,9 @@ def max_a4(grid: int = 48, refine: int = 60) -> A4Search:
         raise ValueError("grid must be >= 16")
     if refine < 1:
         raise ValueError("refine must be >= 1")
-    _within_budget(_a4_samples(grid, refine))
+    # c1 values; gamma radii and angles; eta radii and angles
+    coarse, window = (grid + 1, grid // 3 + 1, 2 * grid, 3, 8), (9, 9, 9, 5, 5)
+    _within_budget(math.prod(coarse) + refine * math.prod(window))
     from . import oracles
-    (val, c1b, gb, eb), samples = oracles._a4_search(grid, refine)
+    (val, c1b, gb, eb), samples = oracles._a4_search(coarse, window, refine)
     return A4Search(val, c1b, gb, eb, samples)

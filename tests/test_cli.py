@@ -139,10 +139,11 @@ def test_scan_phi_failed_check_exits_3(capsys, monkeypatch):
     assert "  FAIL  tangency_at_0_and_pi" in out
 
 
+CLI_CALL = 'from starcert.cli import main; main(["scan-phi", "--grid", "8"])'
+LIBRARY_CALL = "from starcert.gft import ma_minda_scan; ma_minda_scan(8)"
 BLAS_PROBE = r"""
 import os, sys
-from starcert.cli import main
-main(["scan-phi", "--grid", "8"])
+{call}
 print(len(os.listdir("/proc/self/task")),
       os.environ.get("OPENBLAS_NUM_THREADS", "unset"), file=sys.stderr)
 """
@@ -150,17 +151,20 @@ print(len(os.listdir("/proc/self/task")),
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                     reason="needs /proc/self/task to count threads")
-@pytest.mark.parametrize("user_value", [None, "2"])
-def test_numpy_subcommands_start_no_idle_blas_workers(user_value):
-    # numpy loads inside main(), while it caps the OpenBLAS pool; main()
-    # leaves the environment as it found it, and a value the user set wins
+@pytest.mark.parametrize("call, user_value", [
+    (CLI_CALL, None), (CLI_CALL, "2"), (LIBRARY_CALL, None), (LIBRARY_CALL, "2")],
+    ids=["None", "2", "library-None", "library-2"])
+def test_numpy_subcommands_start_no_idle_blas_workers(call, user_value):
+    # numpy loads with starcert.oracles, which caps the OpenBLAS pool for
+    # the CLI and for library calls alike; it leaves the environment as it
+    # found it, and a value the user set wins
     pytest.importorskip("numpy")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = src
     if user_value is not None:
         env["OPENBLAS_NUM_THREADS"] = user_value
-    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE.format(call=call)], env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
     count, value = proc.stderr.split()

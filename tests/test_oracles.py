@@ -2,10 +2,12 @@
 kernels the Hankel oracles share with their entry points."""
 import ast
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from starcert import oracles
+from starcert.verify import verify_h3
 
 SRC = Path(oracles.__file__).resolve().parent
 
@@ -74,27 +76,36 @@ def test_only_the_entry_points_import_the_oracles_and_only_they_load_numpy():
     assert numpy_owners == {("oracles", None)}
 
 
+def _h3_sizes(grid):
+    """The grid sizes verify_h3 passes its oracle at ``grid``."""
+    with mock.patch.object(oracles, "_h3_rings", wraps=oracles._h3_rings) as rings:
+        verify_h3(grid)
+    return rings.call_args.args[0]
+
+
 def test_polar_grid_lists_its_points_ring_by_ring():
-    # _h3_scan indexes the majorant on _h3_rings by k // (2 grid) for gamma
-    # and k // grid for eta
-    grid = 6
-    _, gamma_radii, eta_radii = oracles._h3_rings(grid)
-    gam = oracles._polar_grid(grid // 2 + 1, 2 * grid)
-    eta = oracles._polar_grid(3, grid)
-    assert np.allclose(np.abs(gam), gamma_radii[np.arange(gam.size) // (2 * grid), 0])
-    assert np.allclose(np.abs(eta), eta_radii[np.arange(eta.size) // grid])
+    # _h3_scan indexes the majorant on _h3_rings by k // (gamma angles) for
+    # gamma and k // (eta angles) for eta
+    sizes = _h3_sizes(6)
+    assert sizes == (7, 4, 12, 3, 6, 2, 8)
+    _, gamma_radii, eta_radii = oracles._h3_rings(sizes)
+    gam = oracles._polar_grid(*sizes[1:3])
+    eta = oracles._polar_grid(*sizes[3:5])
+    assert np.allclose(np.abs(gam), gamma_radii[np.arange(gam.size) // sizes[2], 0])
+    assert np.allclose(np.abs(eta), eta_radii[np.arange(eta.size) // sizes[4]])
 
 
 def test_h3_scan_holds_the_majorant_at_the_peak_over_the_rho_disk(reduction):
-    c1, x, y = oracles._h3_rings(4)
+    sizes = _h3_sizes(4)
+    c1, x, y = oracles._h3_rings(sizes)
     maj = reduction.majorant(c1, x, y)
-    observed, samples, dominated = oracles._h3_scan(4, maj)
+    observed, samples, dominated = oracles._h3_scan(sizes, maj)
     assert dominated is True and samples == 23040
     assert observed <= 1024 * (1 + 1e-9)
     # H comes within 1e-12 of |P| + |Q| on much of the grid
-    assert oracles._h3_scan(4, maj - 1e-4)[2] is False
+    assert oracles._h3_scan(sizes, maj - 1e-4)[2] is False
     # comp (1 - |eta|^2) is the share of H that bounds the rho term: lowered
     # by 1e-4 of itself, H still dominates |P| at every point, and falls
     # short only of the peak |P| + |Q| over the closed rho disk
     share = reduction.comp.evaluate(c1, x) * (1 - y * y)
-    assert oracles._h3_scan(4, maj - 1e-4 * share)[2] is False
+    assert oracles._h3_scan(sizes, maj - 1e-4 * share)[2] is False

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,15 @@ from starcert.verify import (VerificationReport, a4_family, max_a4, verify_h2,
                              verify_h3)
 
 F = Fraction
+
+
+def _oracle_call(name, entry, *args):
+    """entry(*args), and the arguments of its one call of oracles.<name>:
+    the grid sizes it passes."""
+    with mock.patch.object(oracles, name, wraps=getattr(oracles, name)) as oracle:
+        result = entry(*args)
+    oracle.assert_called_once()
+    return result, oracle.call_args.args
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +67,9 @@ def test_verify_h3_rejects_small_grid(grid):
 
 
 def test_verify_h3_smallest_grid():
-    report = verify_h3(grid=4)
+    report, (sizes, _) = _oracle_call("_h3_scan", verify_h3, 4)
     assert report.verified and report.details["oracle_samples"] == 23040
-    assert verify._h3_samples(4) == 23040
+    assert math.prod(sizes) == 23040
 
 
 def test_verify_h3(h3_report):
@@ -136,7 +146,7 @@ def test_a4_family_values():
 
 
 def test_max_a4_search():
-    res = max_a4(grid=24, refine=40)
+    res, (coarse, window, refine) = _oracle_call("_a4_search", max_a4, 24, 40)
     assert res.value == pytest.approx(0.338667, abs=1e-5)
     assert res.c1 == pytest.approx(0.508001, abs=1e-3)
     assert res.family_value == pytest.approx(res.value, abs=1e-7)
@@ -144,7 +154,7 @@ def test_max_a4_search():
     assert res.family_t == math.sqrt(8 / 31)
     assert abs(res.gamma) <= 1 + 1e-12 and abs(res.eta) <= 1 + 1e-12
     assert res.samples > 10 ** 5
-    assert res.samples == verify._a4_samples(24, 40)
+    assert res.samples == math.prod(coarse) + refine * math.prod(window)
 
 
 def test_max_a4_validates_arguments():
@@ -234,9 +244,16 @@ def test_h3_oracle_matches_whole_slab_reference(grid, h3_report):
     assert (d["oracle_max_scaled"], d["oracle_samples"]) == ref_h3_oracle(grid)
 
 
+def _a4_coarse(grid):
+    """The coarse scan of max_a4 at ``grid``: _a4_search with the sizes
+    max_a4 passes and no refinement."""
+    coarse, window, _ = _oracle_call("_a4_search", max_a4, grid, 1)[1]
+    return oracles._a4_search(coarse, window, 0)
+
+
 @pytest.mark.parametrize("grid", [16, 24, 48])
 def test_a4_coarse_matches_full_broadcast_argmax(grid):
-    assert oracles._a4_coarse(grid) == ref_a4_coarse(grid)
+    assert _a4_coarse(grid) == ref_a4_coarse(grid)
 
 
 def test_a4_coarse_breaks_ties_like_argmax(monkeypatch):
@@ -244,10 +261,10 @@ def test_a4_coarse_breaks_ties_like_argmax(monkeypatch):
     # ten blocks of each row; the first in C order wins
     exact = oracles._a4
     monkeypatch.setattr(oracles, "_a4", lambda *args: np.round(np.abs(exact(*args)), 1))
-    assert oracles._a4_coarse(24) == ref_a4_coarse(24)
+    assert _a4_coarse(24) == ref_a4_coarse(24)
     row = (48 // 3 + 1) * 96 * 24
     assert row > 9 * oracles._BLOCK_SAMPLES
-    assert oracles._a4_coarse(48) == ref_a4_coarse(48)
+    assert _a4_coarse(48) == ref_a4_coarse(48)
 
 
 def test_phi_scan_breaks_boundary_ties_like_argmin(monkeypatch):
@@ -263,7 +280,7 @@ def test_phi_scan_breaks_boundary_ties_like_argmin(monkeypatch):
     bnd = rounded(t)
     k = int(np.argmin(bnd))
     assert k < block and bnd[k] == bnd[block] == bnd[block - 1]
-    scan = oracles._phi_scan(100, gft._PHI_SCAN_RADIUS, npts)
+    scan = oracles._phi_scan((100, 400), gft._PHI_SCAN_RADIUS, npts)
     assert scan[4:6] == (float(bnd[k]), float(t[k]))
 
 
@@ -544,14 +561,18 @@ def _last_block_partial(items, per_item=1):
 
 
 def test_sample_counts_match_the_oracles(h2_report, h3_report):
-    assert verify._h2_samples(32) == h2_report.details["oracle_samples"] == 540672
-    assert verify._h3_samples(12) == h3_report.details["oracle_samples"] == 1257984
-    search = max_a4()
-    assert verify._a4_samples(48, 60) == search.samples == 3012732
-    assert gft._phi_scan_samples(64, 64 * 64) == 64 * 256 + 4096 == 20480
-    # at grids whose last block is partial, each count is the budget
-    # formula's and each maximum (max_a4's witness too) is that of a
-    # one-shot reference
+    # each oracle counts the product of the sizes its entry point passes,
+    # which is what the entry point's budget counted
+    _, (sizes,) = _oracle_call("_h2_scan", verify_h2)
+    assert math.prod(sizes) == h2_report.details["oracle_samples"] == 540672
+    _, (sizes, _) = _oracle_call("_h3_scan", verify_h3)
+    assert math.prod(sizes) == h3_report.details["oracle_samples"] == 1257984
+    search, (coarse, window, refine) = _oracle_call("_a4_search", max_a4)
+    assert math.prod(coarse) + refine * math.prod(window) == search.samples == 3012732
+    scan, (sizes, _, npts) = _oracle_call("_phi_scan", gft.ma_minda_scan)
+    assert math.prod(sizes) + npts == scan.samples == 64 * 256 + 4096 == 20480
+    # at grids whose last block is partial, each count is the budget's and
+    # each maximum (max_a4's witness too) is that of a one-shot reference
     assert _last_block_partial(11 * 32, 48)                   # gamma of verify_h2
     assert (h2_report.details["oracle_max"], 540672) == ref_h2_scan(32)
     assert _last_block_partial(7 * 24, 36)                    # gamma of verify_h3
@@ -562,10 +583,10 @@ def test_sample_counts_match_the_oracles(h2_report, h3_report):
     assert ((search.value, search.c1, search.gamma, search.eta), search.samples) == \
         ref_a4_search(48, 60)
     assert _last_block_partial(7 * 40, 24)                    # at grid 20
-    search = max_a4(grid=20, refine=10)
+    search, (coarse, window, refine) = _oracle_call("_a4_search", max_a4, 20, 10)
     assert ((search.value, search.c1, search.gamma, search.eta), search.samples) == \
         ref_a4_search(20, 10)
-    assert search.samples == verify._a4_samples(20, 10)
+    assert search.samples == math.prod(coarse) + refine * math.prod(window)
     # scan-phi, counted as the points where its oracle evaluates phi: at
     # 130 the disk grid's and the circle's last blocks are partial (its
     # extrema are checked against a one-shot reference in test_gft.py);
@@ -573,9 +594,9 @@ def test_sample_counts_match_the_oracles(h2_report, h3_report):
     assert _last_block_partial(130, 4 * 130) and _last_block_partial(130 ** 2)
     assert 4 * 1025 > oracles._BLOCK_SAMPLES and _last_block_partial(4 * 1025)
     for grid_density in (130, 1025):
-        npts = grid_density ** 2 + grid_density % 2
-        assert gft.ma_minda_scan(grid_density).samples == \
-            gft._phi_scan_samples(grid_density, npts)
+        scan, (sizes, _, npts) = _oracle_call("_phi_scan", gft.ma_minda_scan, grid_density)
+        assert npts == grid_density ** 2 + grid_density % 2
+        assert scan.samples == math.prod(sizes) + npts
 
 
 # ---------------------------------------------------------------------------

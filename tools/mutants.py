@@ -157,7 +157,7 @@ MUTANTS = [
     Mutant("domination-tolerance", ORACLES,
            "maj_c1[gam_ring, eta_ring] + 1e-9", "maj_c1[gam_ring, eta_ring] + 1e-3"),
     Mutant("domination-eta-ring", ORACLES,
-           "np.arange(eta.size) // grid", "np.arange(eta.size) // (2 * grid)"),
+           "np.arange(eta.size) // eta_angles", "np.arange(eta.size) // gamma_angles"),
     # the block loop every oracle runs, with its last partial block
     # dropped: test_sample_counts_match_the_oracles counts each oracle's
     # samples at grids whose last block is partial
@@ -166,8 +166,12 @@ MUTANTS = [
     # the oracles reaching into the certified path: the module still
     # imports and every value is the same, so only the import-graph test
     # in tests/test_oracles.py can tell
-    Mutant("oracle-imports-certified", ORACLES, "import numpy as np\n",
-           "import numpy as np\n\nfrom .gft import schwarz_parametrize\n"),
+    Mutant("oracle-imports-certified", ORACLES, "    import numpy as np\n",
+           "    import numpy as np\n    from .gft import schwarz_parametrize\n"),
+    # the BLAS cap left in the environment after numpy loads: only a fresh
+    # process that starts with the variable unset can tell
+    Mutant("blas-env-kept", ORACLES,
+           '        del os.environ["OPENBLAS_NUM_THREADS"]', "        pass"),
     # verify_h2's exact conjunction: the group signs, the step, sharpness
     Mutant("h2-signs", VERIFY,
            "exact = signs_ok and step_ok", "exact = step_ok"),
