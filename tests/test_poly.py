@@ -168,6 +168,7 @@ def test_constructors_keep_their_input_rules():
     check(f, ref_of([[F(1, 2), 3], [F(-2, 3), 0]]))
     assert f._integers == (((3, 18), (-4, 0)), 6)
     assert BiPoly.from_terms({(1, 0): "-2/3", (0, 0): "1/2", (0, 1): 3}) == f
+    assert f.coeff(1, 0) == F(-2, 3) and f.coeff(2, 0) == f.coeff(0, 2) == F(0)
     for bad in (lambda: BiPoly([[0.5]]), lambda: BiPoly.from_terms([(0, 0, 0.5)]),
                 lambda: f * 0.5, lambda: f + 0.5, lambda: 0.5 - f):
         with pytest.raises(TypeError):

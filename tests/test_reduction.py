@@ -2,9 +2,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from starcert import reduction as reduction_module
 from starcert.bernstein import UNIT_BOX, enclosure, to_bernstein
+from starcert.cli import main
 from starcert.gft import h3_schwarz_poly, schwarz_parametrize
 from starcert.reduction import HANKEL3_SCALE, MAJORANT_TARGET
+from starcert.verify import verify_h3
 
 F = Fraction
 
@@ -22,6 +27,7 @@ def test_scale_normalization():
 
 
 def test_endpoints_consistent_with_groups(reduction):
+    # the endpoints are the recorded tables; here they meet the typed groups
     r = reduction
     assert r.endpoint_y1 == r.base + r.ycoef + r.y2coef
     assert r.endpoint_y0 == r.base + r.ycoef + r.comp
@@ -31,6 +37,21 @@ def test_endpoints_consistent_with_groups(reduction):
         p = F(rng.randint(0, 16), 16)
         x = F(rng.randint(0, 16), 16)
         assert r.majorant(p, x, 1) == r.endpoint_y1.evaluate(p, x)
+
+
+@pytest.mark.parametrize("table, term", [("_GAP_TABLE", (6, 4)),
+                                         ("_ENDPOINT_Y0_TABLE", (0, 1))])
+def test_a_table_slip_fails_capped_between_endpoints(monkeypatch, capsys, table, term):
+    # one recorded coefficient off by one: the endpoint no longer equals the
+    # sum of the groups, and the run reports it and exits 2
+    recorded = getattr(reduction_module, table)
+    monkeypatch.setitem(recorded, term, recorded[term] + 1)
+    report = verify_h3(grid=4)
+    assert report.details["capped_between_endpoints"] is False
+    assert report.details["failure"] == "certification"
+    assert main(["certify-h3", "--grid", "4"]) == 2
+    out = capsys.readouterr().out
+    assert "capped_between_endpoints: False" in out and "failure: certification" in out
 
 
 def capped(r, p, x, y):

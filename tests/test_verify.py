@@ -432,11 +432,17 @@ def _endpoint_y0_raised():
     return red._replace(comp=red.comp + 1024, endpoint_y0=red.endpoint_y0 + 1024)
 
 
+def _recheck_raises(*args):
+    raise bernstein.CertificateError("stub checker refuses the tree")
+
+
 @pytest.mark.parametrize("patches, key, value", [
     ({"build_h3_reduction": _endpoint_y0_raised}, "endpoint_y0_bernstein_max", "1934"),
     ({"certify_positive": _certify_at_depth_2, "check_certificate": lambda *args: True},
      "certificate_succeeded", False),
     ({"check_certificate": lambda *args: False}, "certificate_revalidated", False),
+    # a checker that raises is a refused certificate, not a traceback
+    ({"check_certificate": _recheck_raises}, "certificate_revalidated", False),
 ])
 def test_each_h3_exact_step_decides_alone(monkeypatch, capsys, patches, key, value):
     # the certificate's success and its re-check cover each other on honest

@@ -45,6 +45,7 @@ VERIFY = "src/starcert/verify.py"
 GFT = "src/starcert/gft.py"
 ORACLES = "src/starcert/oracles.py"
 CLI = "src/starcert/cli.py"
+REDUCTION = "src/starcert/reduction.py"
 SELF_TEST = "tests/test_mutants.py"
 
 
@@ -142,6 +143,21 @@ MUTANTS = [
            "and cert.succeeded and recheck", "and recheck"),
     Mutant("step-recheck", VERIFY,
            "cert.succeeded and recheck\n", "cert.succeeded\n"),
+    # a re-check that raises escapes as a traceback in place of a
+    # refused certificate
+    Mutant("step-recheck-raises", VERIFY,
+           "            except CertificateError:\n                recheck = False",
+           "            except CertificateError:\n                raise"),
+    # an H3 endpoint re-derived from the groups in place of its recorded
+    # table: the identity check then compares the groups with themselves,
+    # and only a slipped table (test_a_table_slip_fails_capped_between_endpoints)
+    # can tell
+    Mutant("h3-gap-from-groups", REDUCTION,
+           "gap = BiPoly.from_terms(_GAP_TABLE)",
+           "gap = MAJORANT_TARGET - (base + ycoef + y2coef)"),
+    Mutant("h3-y0-from-groups", REDUCTION,
+           "endpoint_y0 = BiPoly.from_terms(_ENDPOINT_Y0_TABLE)",
+           "endpoint_y0 = base + ycoef + comp"),
     # verify_h3's exact conjunction, one step dropped at a time
     Mutant("h3-gap", VERIFY,
            "exact = gap_ok and step_ok", "exact = step_ok"),
