@@ -421,7 +421,11 @@ class CertificateNode(NamedTuple):
             yield self
 
     def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
+        # level by level, so no tree the reader accepts is too deep to measure
+        depth, level = 0, [self]
+        while level:
+            depth, level = depth + 1, [c for node in level for c in node.children]
+        return depth
 
 
 class PositivityCertificate(NamedTuple):
@@ -455,7 +459,10 @@ class PositivityCertificate(NamedTuple):
         # rationals repeat across nodes, box ends above all: read each
         # distinct string once, a box end straight to its reduced pair
         end = _memo_reader(lambda text: parse_rational(text).as_integer_ratio())
-        return cls(_node_from_dict(doc, end, _memo_reader(parse_rational)), corner_rule)
+        try:
+            return cls(_node_from_dict(doc, end, _memo_reader(parse_rational)), corner_rule)
+        except RecursionError as exc:
+            raise ValueError("certificate nested too deeply to read") from exc
 
     @classmethod
     def from_json(cls, text: str,

@@ -254,8 +254,5 @@ def _phi_scan(sizes: tuple, radius: float, npts: int) -> tuple:
         k = int(np.argmin(bnd))
         if float(bnd[k]) < bnd_min:
             bnd_min, t_min = float(bnd[k]), float(t[k])
-        if b.start == 0:
-            at0 = float(bnd[0])
-        if 0 <= npts // 2 - b.start < bnd.size:
-            atpi = float(bnd[npts // 2 - b.start])
+    at0, atpi = map(float, _boundary_distance(np.array([0, npts // 2], dtype=float) * step))
     return mod_min, mod_max, min_real, max_ratio, bnd_min, t_min, at0, atpi, samples

@@ -73,9 +73,9 @@ class H3Reduction(NamedTuple):
     ycoef: BiPoly       # multiplies y
     y2coef: BiPoly      # multiplies y^2
     comp: BiPoly        # multiplies (1 - y^2)
-    endpoint_y1: BiPoly
     endpoint_y0: BiPoly
     gap: BiPoly         # MAJORANT_TARGET - endpoint_y1
+    endpoint_y1 = property(lambda self: (MAJORANT_TARGET - self.gap).trim())
 
     def majorant(self, p, x, y):
         """H(p, x, y); exact for rational arguments, float Horner (numpy
@@ -114,8 +114,6 @@ def build_h3_reduction() -> H3Reduction:
 
     gap = BiPoly.from_terms(_GAP_TABLE)
     endpoint_y0 = BiPoly.from_terms(_ENDPOINT_Y0_TABLE)
-    endpoint_y1 = (MAJORANT_TARGET - gap).trim()
 
     return H3Reduction(base=base.trim(), ycoef=ycoef.trim(), y2coef=y2coef.trim(),
-                       comp=comp.trim(), endpoint_y1=endpoint_y1,
-                       endpoint_y0=endpoint_y0, gap=gap)
+                       comp=comp.trim(), endpoint_y0=endpoint_y0, gap=gap)

@@ -1168,6 +1168,25 @@ def test_from_json_deep_nesting_raises_value_error():
         PositivityCertificate.from_json(text)
 
 
+def _chain_doc(levels):
+    """A certificate document ``levels`` nodes deep, one child per node,
+    built without recursion."""
+    doc = VALID_DOC["children"][0]
+    for _ in range(levels - 1):
+        doc = {**VALID_DOC, "children": [doc]}
+    return doc
+
+
+def test_from_json_doc_deep_nesting_raises_value_error():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        PositivityCertificate.from_json_doc(_chain_doc(5000))
+
+
+def test_depth_measures_every_tree_the_reader_accepts():
+    cert = PositivityCertificate.from_json(json.dumps(_chain_doc(400)))
+    assert cert.root.depth() == 400 and cert.node_count() == 400
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_from_json_mutated_parses_or_raises_value_error(data):

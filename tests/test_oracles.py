@@ -1,12 +1,16 @@
-"""The float oracles: their independence from the certified path, and the
-kernels the Hankel oracles share with their entry points."""
+"""The float oracles: their independence from the certified path, their
+formulas against the certified definitions, and the kernels the Hankel
+oracles share with their entry points."""
 import ast
+import math
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from starcert import oracles
+from starcert.gft import hankel2, hankel3, schwarz_parametrize, schwarz_to_coeffs
+from starcert.reduction import HANKEL3_SCALE
 from starcert.verify import verify_h3
 
 SRC = Path(oracles.__file__).resolve().parent
@@ -109,3 +113,43 @@ def test_h3_scan_holds_the_majorant_at_the_peak_over_the_rho_disk(reduction):
     # short only of the peak |P| + |Q| over the closed rho disk
     share = reduction.comp.evaluate(c1, x) * (1 - y * y)
     assert oracles._h3_scan(sizes, maj - 1e-4 * share)[2] is False
+
+
+# ---------------------------------------------------------------------------
+# the re-derived formulas agree with the certified definitions
+# ---------------------------------------------------------------------------
+
+FORMULA_SEED = 20261022
+
+
+def _coeffs(c1, gamma, eta, rho):
+    """a2..a5 through the certified path, at one point."""
+    return schwarz_to_coeffs(schwarz_parametrize(c1, (gamma, eta, rho)))
+
+
+def test_kernels_match_the_certified_formulas():
+    # the oracles call no certified code, so only this comparison ties a
+    # kernel's coefficients to hankel3 and schwarz_to_coeffs; every fourth
+    # point of each disk sits on the unit circle
+    rng = np.random.default_rng(FORMULA_SEED)
+    n = 256
+    c1 = rng.uniform(0, 1, n)
+    gam, eta, rho = (np.where(np.arange(n) % 4 == 0, 1.0, rng.uniform(0, 1, n))
+                     * np.exp(1j * rng.uniform(0, 2 * math.pi, n)) for _ in range(3))
+    h3 = oracles._h3_param(c1, gam, eta, rho)
+    a4 = oracles._a4(c1, gam, eta)
+    for k in range(n):
+        a = _coeffs(float(c1[k]), complex(gam[k]), complex(eta[k]), complex(rho[k]))
+        ref = HANKEL3_SCALE * hankel3(a)
+        assert abs(h3[k] - ref) <= 1e-12 * max(1, abs(ref)), k
+        assert abs(a4[k] - a[2]) <= 1e-12 * max(1, abs(a[2])), k
+
+
+def test_h2_scan_matches_the_certified_determinant():
+    sizes = (8, 3, 8, 3, 16)
+    observed, _ = oracles._h2_scan(sizes)
+    gam = oracles._polar_grid(*sizes[1:3])
+    eta = oracles._polar_grid(*sizes[3:])
+    ref = max(abs(hankel2(_coeffs(float(p1) / 2, complex(g), complex(e), 0)))
+              for p1 in np.linspace(0.0, 2.0, sizes[0]) for g in gam for e in eta)
+    assert abs(observed - ref) <= 1e-12 * ref

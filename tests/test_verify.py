@@ -320,12 +320,12 @@ def test_affine_splits_match_the_literal_kernels():
 # ---------------------------------------------------------------------------
 
 def _lowered(red, group, delta):
-    """``red`` with ``group`` lowered by ``delta``; the endpoints and the gap
-    move along, so every exact identity and certificate still holds."""
+    """``red`` with ``group`` lowered by ``delta``; endpoint_y0 and the gap
+    (so endpoint_y1) move along, so every exact identity and certificate
+    still holds."""
     e1 = delta if group != "comp" else 0
     e0 = delta if group != "y2coef" else 0
     return red._replace(**{group: getattr(red, group) - delta},
-                        endpoint_y1=red.endpoint_y1 - e1,
                         endpoint_y0=red.endpoint_y0 - e0, gap=red.gap + e1)
 
 
@@ -347,9 +347,8 @@ def test_lowered_majorant_fails_domination(monkeypatch, reduction, capsys,
     monkeypatch.setattr(verify, "build_h3_reduction", lambda: lowered)
     report = verify_h3(grid=4)
     d = report.details
-    for step in ("gap_is_target_minus_endpoint_y1", "certificate_succeeded",
-                 "certificate_revalidated", "ycoef_nonnegative",
-                 "capped_between_endpoints"):
+    for step in ("certificate_succeeded", "certificate_revalidated",
+                 "ycoef_nonnegative", "capped_between_endpoints"):
         assert d[step] is True, step
     assert d["majorant_dominates_samples"] is False
     assert report.status == "failed" and d["failure"] == "oracle"
@@ -366,9 +365,8 @@ def test_broken_grid_kernel_fails_the_oracle(monkeypatch, capsys):
                         lambda *args: exact(*args) * (1 + 1e-6))
     report = verify_h3(grid=4)
     d = report.details
-    for step in ("gap_is_target_minus_endpoint_y1", "certificate_succeeded",
-                 "certificate_revalidated", "ycoef_nonnegative",
-                 "capped_between_endpoints"):
+    for step in ("certificate_succeeded", "certificate_revalidated",
+                 "ycoef_nonnegative", "capped_between_endpoints"):
         assert d[step] is True, step
     assert d["majorant_dominates_samples"] is False
     assert d["endpoint_y0_bernstein_max"] == "910"
@@ -380,17 +378,18 @@ def test_broken_grid_kernel_fails_the_oracle(monkeypatch, capsys):
 
 
 def test_gap_must_be_target_minus_endpoint_y1(monkeypatch, reduction, capsys):
-    # gap + 1 is still positive, so its certificate holds; only the
-    # polynomial identity with endpoint_y1 catches the fault
+    # gap + 1 is still positive, so its certificate holds; endpoint_y1 =
+    # 1024 - gap moves with it, and only its identity with the groups
+    # catches the fault
     shifted = reduction._replace(gap=reduction.gap + 1)
     monkeypatch.setattr(verify, "build_h3_reduction", lambda: shifted)
     report = verify_h3(grid=4)
     d = report.details
     assert d["certificate_succeeded"] and d["certificate_revalidated"]
-    assert d["gap_is_target_minus_endpoint_y1"] is False
+    assert d["capped_between_endpoints"] is False
     assert report.status == "failed" and d["failure"] == "certification"
     assert main(["certify-h3", "--grid", "4"]) == 2
-    assert "gap_is_target_minus_endpoint_y1: False" in capsys.readouterr().out
+    assert "capped_between_endpoints: False" in capsys.readouterr().out
 
 
 def test_h3_sharpness_is_an_exact_step(monkeypatch, capsys):
